@@ -63,11 +63,16 @@ func (v Vector) Scale(f float64) Vector {
 // the quantity PAPI-style profiling observes.
 func (v Vector) Flops() float64 { return v[MFDG] + v[AFDG] + v[DFDG] }
 
-// Total returns the count across all opcodes.
+// Total returns the count across all opcodes, summed in canonical order.
 func (v Vector) Total() float64 {
 	s := 0.0
-	for _, x := range v {
-		s += x
+	for _, op := range AllOps() {
+		if x, ok := v[op]; ok {
+			s += x
+		}
+	}
+	for _, op := range v.unknownOps() {
+		s += v[op]
 	}
 	return s
 }
@@ -75,11 +80,17 @@ func (v Vector) Total() float64 {
 // Cost prices the vector against a per-opcode cost table (seconds per
 // operation). Opcodes missing from the table cost zero, matching the
 // paper's treatment of LFOR/IFBR as negligible in the new coarse
-// benchmarking approach.
+// benchmarking approach. The sum runs in canonical order, so identical
+// inputs always price to identical bits.
 func (v Vector) Cost(table CostTable) float64 {
 	s := 0.0
-	for k, x := range v {
-		s += x * table[k]
+	for _, op := range AllOps() {
+		if x, ok := v[op]; ok {
+			s += x * table[op]
+		}
+	}
+	for _, op := range v.unknownOps() {
+		s += v[op] * table[op]
 	}
 	return s
 }
@@ -92,14 +103,35 @@ func (v Vector) String() string {
 			parts = append(parts, fmt.Sprintf("%s:%.6g", op, x))
 		}
 	}
-	var extra []string
-	for k := range v {
-		if !isKnown(k) && v[k] != 0 {
-			extra = append(extra, fmt.Sprintf("%s:%.6g", k, v[k]))
+	for _, op := range v.unknownOps() {
+		if v[op] != 0 {
+			parts = append(parts, fmt.Sprintf("%s:%.6g", op, v[op]))
 		}
 	}
-	sort.Strings(extra)
-	return "{" + strings.Join(append(parts, extra...), " ") + "}"
+	return "{" + strings.Join(parts, " ") + "}"
+}
+
+// unknownOps returns v's opcodes outside AllOps, sorted by name — the
+// tail of the canonical order. It is nil (and allocation-free) when v
+// holds only known opcodes.
+func (v Vector) unknownOps() []Op {
+	known := 0
+	for _, op := range AllOps() {
+		if _, ok := v[op]; ok {
+			known++
+		}
+	}
+	if known == len(v) {
+		return nil
+	}
+	var extra []Op
+	for k := range v {
+		if !isKnown(k) {
+			extra = append(extra, k)
+		}
+	}
+	sort.Slice(extra, func(i, j int) bool { return extra[i] < extra[j] })
+	return extra
 }
 
 func isKnown(op Op) bool {

@@ -187,3 +187,37 @@ func TestSweepKernelFlowMatchesKernelConstant(t *testing.T) {
 		t.Errorf("kernel characterisation = %v flops, want 37", got)
 	}
 }
+
+// TestVectorCostDeterministic pins Cost and Total to one bit pattern over
+// repeated identical calls. Summing a map in iteration order made the last
+// bit depend on the order Go happened to pick; the canonical order (known
+// opcodes as AllOps lists them, then unknown ones by name) removes that.
+func TestVectorCostDeterministic(t *testing.T) {
+	v := Vector{
+		MFDG: 20.000000000000004, AFDG: 16.3, DFDG: 1.1, LFOR: 3.7,
+		IFBR: 0.30000000000000004, CMLD: 41.9, CMST: 13.1,
+		"XOPA": 7.77, "XOPB": 1e-3,
+	}
+	table := CostTable{
+		MFDG: 1.3e-9, AFDG: 1.1e-9, DFDG: 9.7e-9, LFOR: 2.9e-10,
+		IFBR: 3.1e-10, CMLD: 7.1e-10, CMST: 8.3e-10, "XOPA": 1.7e-9, "XOPB": 3.3e-7,
+	}
+	cost, total := math.Float64bits(v.Cost(table)), math.Float64bits(v.Total())
+	for i := 0; i < 2000; i++ {
+		if got := math.Float64bits(v.Cost(table)); got != cost {
+			t.Fatalf("call %d: Cost bits %#x, want %#x", i, got, cost)
+		}
+		if got := math.Float64bits(v.Total()); got != total {
+			t.Fatalf("call %d: Total bits %#x, want %#x", i, got, total)
+		}
+	}
+	// The canonical order is the sequential sum over AllOps, then unknown
+	// opcodes sorted by name.
+	want := 0.0
+	for _, op := range append(AllOps(), "XOPA", "XOPB") {
+		want += v[op] * table[op]
+	}
+	if math.Float64bits(want) != cost {
+		t.Fatalf("Cost = %v, want canonical-order sum %v", v.Cost(table), want)
+	}
+}

@@ -23,12 +23,14 @@ package mp
 //     replayer compares the per-cycle clock delta with the previous one.
 //     Two consecutive bitwise-equal deltas whose basis endpoints share a
 //     floating-point binade validate the cycle, and the replayer then jumps
-//     clocks forward by an exact multiple of the delta instead of replaying
-//     — clamped so every extrapolated value stays inside the current
-//     binade, where iterated addition of the delta is exact (all clock
-//     values in a binade are multiples of its ulp, and a same-binade
-//     difference is one too). Binade crossings are replayed for real and
-//     re-validated on the far side.
+//     clocks forward by an exact multiple of the delta instead of replaying.
+//     The jump lands on the last cycle boundary still inside the current
+//     binade: every jumped cycle ends strictly below the binade's upper
+//     edge, where iterated addition of the delta is exact (all clock values
+//     in a binade are multiples of its ulp, and a same-binade difference is
+//     one too). The next cycle crosses the edge and is replayed for real,
+//     and two more re-validate the delta on the far side, so a binade
+//     crossing costs three replayed cycles.
 //
 // Correctness envelope: extrapolation runs only on the deterministic-cost,
 // unperturbed replay path (jitter nets, noise, injected delays, fail-stop
@@ -579,23 +581,6 @@ func sameBinade(a, b float64) bool {
 	return math.Float64bits(a)&expMask == math.Float64bits(b)&expMask
 }
 
-// binadeRoom bounds how many delta steps fit strictly inside d's binade
-// with a safety margin: the margin keeps the cycle replayed after the jump
-// (and its validation successor) inside the same uniform grid.
-func binadeRoom(d, delta float64) int {
-	_, e := math.Frexp(d)
-	hi := math.Ldexp(1, e)
-	room := (hi - d) / delta
-	if room > 1<<40 {
-		return 1 << 40
-	}
-	k := int(room) - 3
-	if k < 0 {
-		return 0
-	}
-	return k
-}
-
 // streamsIdle reports whether no replay message is in flight — the
 // precondition for any cursor transplant: a jump moves clocks and cursors,
 // never queued messages.
@@ -708,18 +693,23 @@ func (r *Replayer) cycBoundary(done float64) bool {
 	// Analytic jump: validated delta, same-binade basis, clean streams.
 	if r.cycStreak >= 2 && remaining >= 2 && delta >= 0 {
 		k := remaining - 1 // the final cycle is always replayed for real
+		D := done
 		if delta > 0 {
-			if !sameBinade(prev, done) {
-				k = 0
-			} else if hb := binadeRoom(done, delta); hb < k {
-				k = hb
+			// Land on the last boundary inside the current binade: every
+			// jumped cycle must end strictly below its upper edge hi.
+			// Each addition is exact (D and delta are multiples of the
+			// binade's ulp, and a sum below hi is on that grid).
+			j := 0
+			if sameBinade(prev, done) {
+				_, e := math.Frexp(done)
+				hi := math.Ldexp(1, e)
+				for ; j < k && D+delta < hi; j++ {
+					D += delta
+				}
 			}
+			k = j
 		}
 		if k >= 1 && r.streamsIdle() {
-			D := done
-			for j := 0; j < k; j++ {
-				D += delta // exact: D and delta are same-binade grid multiples
-			}
 			r.cycDone += k
 			r.statExtrapolated += k
 			remaining -= k

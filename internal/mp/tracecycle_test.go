@@ -3,6 +3,7 @@ package mp
 import (
 	"bytes"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -14,38 +15,45 @@ import (
 // generation differs from the steady body and lands in the cycle prefix.
 func markedWavefront(px, py, iters int) func(c *Comm) error {
 	return func(c *Comm) error {
-		ix, iy := c.Rank()%px, c.Rank()/px
-		for it := 0; it < iters; it++ {
-			if it == 0 {
-				c.Mark(0)
-			}
-			c.Charge(1e-4 * float64(1+c.Rank()%3))
-			for _, sx := range []int{+1, -1} {
-				for _, sy := range []int{+1, -1} {
-					upX, downX := ix-sx, ix+sx
-					upY, downY := iy-sy, iy+sy
-					if upX >= 0 && upX < px {
-						c.RecvN(iy*px+upX, 1)
-					}
-					if upY >= 0 && upY < py {
-						c.RecvN(upY*px+ix, 2)
-					}
-					c.ChargeExact(2e-4)
-					if downX >= 0 && downX < px {
-						c.SendN(iy*px+downX, 1, 1200, nil)
-					}
-					if downY >= 0 && downY < py {
-						c.SendN(downY*px+ix, 2, 960, nil)
-					}
-				}
-			}
-			if it == 0 {
-				c.Mark(1)
-			}
-			c.AllreduceMax(float64(c.Rank()))
-		}
+		markedWavefrontIterations(c, px, py, iters)
 		c.AllreduceSum(1)
 		return nil
+	}
+}
+
+// markedWavefrontIterations runs the first iters iterations of
+// markedWavefront, without its closing reduction: every rank returns at
+// the close of collective generation iters-1.
+func markedWavefrontIterations(c *Comm, px, py, iters int) {
+	ix, iy := c.Rank()%px, c.Rank()/px
+	for it := 0; it < iters; it++ {
+		if it == 0 {
+			c.Mark(0)
+		}
+		c.Charge(1e-4 * float64(1+c.Rank()%3))
+		for _, sx := range []int{+1, -1} {
+			for _, sy := range []int{+1, -1} {
+				upX, downX := ix-sx, ix+sx
+				upY, downY := iy-sy, iy+sy
+				if upX >= 0 && upX < px {
+					c.RecvN(iy*px+upX, 1)
+				}
+				if upY >= 0 && upY < py {
+					c.RecvN(upY*px+ix, 2)
+				}
+				c.ChargeExact(2e-4)
+				if downX >= 0 && downX < px {
+					c.SendN(iy*px+downX, 1, 1200, nil)
+				}
+				if downY >= 0 && downY < py {
+					c.SendN(downY*px+ix, 2, 960, nil)
+				}
+			}
+		}
+		if it == 0 {
+			c.Mark(1)
+		}
+		c.AllreduceMax(float64(c.Rank()))
 	}
 }
 
@@ -176,6 +184,60 @@ func TestTraceExtrapolationLongHorizonFlat(t *testing.T) {
 	// must be analytic. 1% is a generous ceiling.
 	if st.ReplayedCycles*100 > total {
 		t.Fatalf("replayed %d of %d steady cycles — extrapolation not engaged", st.ReplayedCycles, total)
+	}
+}
+
+// TestTraceExtrapolationCrossingCost pins how many steady cycles a long
+// horizon replays for real. Two cycles validate the delta after the
+// prefix, each binade crossing replays the crossing cycle plus two that
+// re-validate the delta on the far side (the jump lands on the last
+// boundary inside the binade), and the final cycle always runs: at most
+// 3 × crossings + prefix + 2 replayed cycles. The count depends only on
+// the clocks, so the pin holds on every host.
+func TestTraceExtrapolationCrossingCost(t *testing.T) {
+	net := detAlphaBeta{alphaBeta{alpha: 2e-5, beta: 1e-8}}
+	tr := recordMarkedWavefront(t, net, 8)
+	if !tr.CycleDetected() || tr.CyclePeriod() != 1 {
+		t.Fatalf("want a period-1 cycle: detected=%v period=%d", tr.CycleDetected(), tr.CyclePeriod())
+	}
+	prefix := tr.CyclePrefixGens()
+
+	// The steady cycles start at the close of the last prefix generation:
+	// run exactly the prefix iterations on the event backend to read it.
+	w, err := NewWorld(12, Options{Net: net, Scheduler: SchedulerEvent})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Run(func(c *Comm) error {
+		markedWavefrontIterations(c, 4, 3, prefix)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	start := w.Clock(0)
+
+	r := NewReplayer()
+	const iters = 100000
+	if err := r.Replay(tr, Options{Net: net}, ReplayParams{ExtraCycles: iters - 8}); err != nil {
+		t.Fatal(err)
+	}
+	// The makespan adds the closing reduction to the last steady boundary,
+	// so its exponent bounds the crossings from above.
+	_, e0 := math.Frexp(start)
+	_, e1 := math.Frexp(r.Makespan())
+	crossings := e1 - e0
+	st := r.Stats()
+	bound := 3*crossings + prefix + 2
+	t.Logf("replayed %d steady cycles, %d binade crossings, prefix %d, bound %d", st.ReplayedCycles, crossings, prefix, bound)
+	if crossings < 1 {
+		t.Fatalf("horizon crosses no binade (start %v, makespan %v)", start, r.Makespan())
+	}
+	if st.ReplayedCycles > bound {
+		t.Fatalf("replayed %d steady cycles, want <= 3*%d + %d + 2 = %d (stats %+v)",
+			st.ReplayedCycles, crossings, prefix, bound, st)
+	}
+	if st.ReplayedCycles+st.ExtrapolatedCycles != iters-1 {
+		t.Fatalf("cycle total = %d, want %d (stats %+v)", st.ReplayedCycles+st.ExtrapolatedCycles, iters-1, st)
 	}
 }
 

@@ -50,6 +50,48 @@ func TestTracePredictLongHorizonExtrapolates(t *testing.T) {
 	}
 }
 
+// TestTraceExtrapolationCrossBinadeMatchesEvent is the pace-level
+// differential net for extrapolated replay. The horizons run from one
+// cycle past the canonical trace (13) to ones whose clocks cross several
+// binades (100, 1000), where the analytic jumps land on binade edges and
+// the crossing cycles replay for real. Each prediction must be
+// bit-identical to a full event-backend run.
+func TestTraceExtrapolationCrossBinadeMatchesEvent(t *testing.T) {
+	platforms := map[string]func() *Evaluator{
+		"flat": func() *Evaluator { return testEvaluator(t) },
+		"hier": func() *Evaluator { return hierEvaluator(t, hierTestModel()) },
+	}
+	for name, build := range platforms {
+		ev := build()
+		evE := *build()
+		evE.Scheduler = mp.SchedulerEvent
+		for _, arr := range [][2]int{{2, 2}, {3, 3}} {
+			for _, iters := range []int{13, 100, 1000} {
+				cfg := paperConfig(arr[0], arr[1])
+				cfg.Iterations = iters
+				got, err := ev.Predict(cfg)
+				if err != nil {
+					t.Fatalf("%s %v it=%d: %v", name, arr, iters, err)
+				}
+				if want := iters - steadyCanonIters; got.ExtrapolatedIterations != want {
+					t.Fatalf("%s %v it=%d: ExtrapolatedIterations = %d, want %d",
+						name, arr, iters, got.ExtrapolatedIterations, want)
+				}
+				want, err := evE.Predict(cfg)
+				if err != nil {
+					t.Fatalf("%s %v it=%d event: %v", name, arr, iters, err)
+				}
+				ref := *want
+				ref.ExtrapolatedIterations = got.ExtrapolatedIterations
+				if *got != ref {
+					t.Fatalf("%s %v it=%d: extrapolated prediction differs from event backend:\n got %+v\nwant %+v",
+						name, arr, iters, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestTraceCanonSharesCompiledShape pins that different long horizons of
 // one shape replay the same canonical compiled trace: the second horizon
 // must not add a trace-cache miss (no recompilation).

@@ -559,6 +559,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"paceserve_trace_cycle_replays_total ",
 		"paceserve_trace_extrapolated_replays_total ",
 		"paceserve_trace_extrapolated_iterations_total ",
+		"paceserve_trace_replayed_cycles_total ",
 		"paceserve_trace_scalar_unique_ops_total ",
 		"paceserve_trace_fused_unique_ops_total ",
 		"paceserve_trace_macro_unique_ops_total ",
@@ -622,9 +623,12 @@ func TestPredictExtrapolationReported(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Counters are process-global, so assert floors, not exact values.
+	// The long-horizon replay ran at least its two validation cycles and
+	// its final cycle op by op (replayed_cycles).
 	if st.TraceExtrapolation.ExtrapolatedReplays < 1 ||
 		st.TraceExtrapolation.ExtrapolatedIterations < uint64(resp.ExtrapolatedIterations) ||
-		st.TraceExtrapolation.CycleReplays < st.TraceExtrapolation.ExtrapolatedReplays {
+		st.TraceExtrapolation.CycleReplays < st.TraceExtrapolation.ExtrapolatedReplays ||
+		st.TraceExtrapolation.ReplayedCycles < 3 {
 		t.Fatalf("stats extrapolation block = %+v", st.TraceExtrapolation)
 	}
 	// The compiled shapes behind these predicts fused macro ops, and the
@@ -664,7 +668,9 @@ func BenchmarkServePredict(b *testing.B) {
 	b.Run("uncached", func(b *testing.B) {
 		// Single-entry single-shard caches + two alternating requests:
 		// every request misses response cache and memo and pays a full
-		// template evaluation.
+		// template evaluation. Both bodies are warmed first so each
+		// shape's one-time trace compile stays out of the timed loop; B
+		// is warmed last, so the loop's first request (A) misses too.
 		s := newTestServer(b, func(c *Config) {
 			c.ResponseCacheEntries = 1
 			c.ResponseCacheShards = 1
@@ -672,7 +678,14 @@ func BenchmarkServePredict(b *testing.B) {
 			c.MemoShards = 1
 		})
 		postJSON(b, s, "/v1/predict", bodyA)
+		postJSON(b, s, "/v1/predict", bodyB)
+		before := s.responses.Stats()
 		b.ResetTimer()
 		run(b, s, bodyA, bodyB)
+		b.StopTimer()
+		after := s.responses.Stats()
+		if after.Hits != before.Hits || after.Misses-before.Misses != uint64(b.N) {
+			b.Fatalf("uncached loop hit the response cache: before %+v, after %+v, N=%d", before, after, b.N)
+		}
 	})
 }
