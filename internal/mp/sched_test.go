@@ -483,45 +483,50 @@ func testHierNets() map[string]hierNet {
 // to hierarchical (src, dst)-classed interconnects: goroutine, event and
 // trace replay must agree bit for bit on every rank's clock, with and
 // without per-class RNG jitter, and replays of the recorded trace must not
-// move a bit either.
+// move a bit either. Each net also runs without compute noise: on the
+// jitter nets that is an RNG-priced replay with nothing perturbing it,
+// which the trace backend serves through the instrumented loop with every
+// instrument off.
 func TestSchedulerEquivalenceHierarchical(t *testing.T) {
 	for name, net := range testHierNets() {
 		t.Run(name, func(t *testing.T) {
-			for _, seed := range []int64{3, 77} {
-				run := func(sched string) *World {
-					w, err := NewWorld(12, Options{
-						Net:       net,
-						Noise:     jitterNoise{0.04},
-						Seed:      seed,
-						Scheduler: sched,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := w.Run(wavefrontProgram(4, 3, 4)); err != nil {
-						t.Fatal(err)
-					}
-					return w
-				}
-				g := run(SchedulerGoroutine)
-				gc := g.SortedClocks()
-				for _, sched := range []string{SchedulerEvent, SchedulerTrace} {
-					e := run(sched)
-					if sched == SchedulerTrace {
-						e.Reset()
-						if err := e.Run(wavefrontProgram(4, 3, 4)); err != nil {
+			for _, noise := range []ComputeNoise{jitterNoise{0.04}, nil} {
+				for _, seed := range []int64{3, 77} {
+					run := func(sched string) *World {
+						w, err := NewWorld(12, Options{
+							Net:       net,
+							Noise:     noise,
+							Seed:      seed,
+							Scheduler: sched,
+						})
+						if err != nil {
 							t.Fatal(err)
 						}
+						if err := w.Run(wavefrontProgram(4, 3, 4)); err != nil {
+							t.Fatal(err)
+						}
+						return w
 					}
-					if g.Makespan() != e.Makespan() {
-						t.Fatalf("%s seed %d: makespan goroutine %v != %s %v",
-							name, seed, g.Makespan(), sched, e.Makespan())
-					}
-					ec := e.SortedClocks()
-					for i := range gc {
-						if gc[i] != ec[i] {
-							t.Fatalf("%s seed %d: clock[%d] goroutine %v != %s %v",
-								name, seed, i, gc[i], sched, ec[i])
+					g := run(SchedulerGoroutine)
+					gc := g.SortedClocks()
+					for _, sched := range []string{SchedulerEvent, SchedulerTrace} {
+						e := run(sched)
+						if sched == SchedulerTrace {
+							e.Reset()
+							if err := e.Run(wavefrontProgram(4, 3, 4)); err != nil {
+								t.Fatal(err)
+							}
+						}
+						if g.Makespan() != e.Makespan() {
+							t.Fatalf("%s noise %v seed %d: makespan goroutine %v != %s %v",
+								name, noise, seed, g.Makespan(), sched, e.Makespan())
+						}
+						ec := e.SortedClocks()
+						for i := range gc {
+							if gc[i] != ec[i] {
+								t.Fatalf("%s noise %v seed %d: clock[%d] goroutine %v != %s %v",
+									name, noise, seed, i, gc[i], sched, ec[i])
+							}
 						}
 					}
 				}

@@ -462,13 +462,12 @@ type Replayer struct {
 	marks []float64
 
 	// Fault-injection cursors and probe state (Options.Delays/Fails/
-	// Probe), in parallel slices rather than rrank so the unperturbed hot
-	// path — and its zero-allocation guarantee — is untouched. collGen
-	// mirrors the live backends' collective generation counter for probe
-	// rows. perturbed routes replay through the instrumented loop; the
-	// plain hot loop never looks at any of this state. failing gates the
-	// fail-stop machinery (fqs cursors, ckpts rewind targets) within it.
-	perturbed bool
+	// Probe), in parallel slices rather than rrank so the fused hot path —
+	// and its zero-allocation guarantee — is untouched. collGen mirrors
+	// the live backends' collective generation counter for probe rows.
+	// Only the instrumented loop reads this state: injecting gates the
+	// delay cursors, failing the fail-stop machinery (fqs cursors, ckpts
+	// rewind targets).
 	injecting bool
 	failing   bool
 	dqs       [][]Delay
@@ -479,10 +478,11 @@ type Replayer struct {
 	collGen   int
 
 	// Steady-state cycle state (tracecycle.go). fusedPath selects the
-	// fused hot loop (deterministic costs, no perturbation); cycOn tracks
-	// a detected cycle through its boundaries; the stat counters feed
-	// Stats(). The plan memo fields cache last-cycle boundary clocks of
-	// completed replays keyed by their exact inputs.
+	// fused hot loop (deterministic costs, no perturbation) over the
+	// instrumented loop; cycOn tracks a detected cycle through its
+	// boundaries; the stat counters feed Stats(). The plan memo fields
+	// cache last-cycle boundary clocks of completed replays keyed by their
+	// exact inputs.
 	fusedPath bool
 	cycOn     bool
 	cycErr    error
@@ -691,7 +691,6 @@ func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams) error {
 	r.collGen = 0
 	r.injecting = len(opts.Delays) > 0 || len(opts.Fails) > 0
 	r.failing = len(opts.Fails) > 0
-	r.perturbed = r.injecting || opts.Probe != nil || opts.Noise != nil
 	r.dqs = nil
 	r.fqs = nil
 	if r.injecting {
@@ -725,10 +724,12 @@ func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams) error {
 	for i := range r.marks {
 		r.marks[i] = 0
 	}
-	// Steady-state cycle gating: the fused loop (and with it extrapolation)
-	// runs only when costs are deterministic and nothing perturbs the
-	// replay; every other combination replays exactly as before.
-	r.fusedPath = r.det && !r.perturbed
+	// Loop selection and steady-state cycle gating: the fused loop (and
+	// with it extrapolation) runs only when costs are deterministic and
+	// nothing perturbs the replay; every other combination takes the
+	// instrumented loop.
+	perturbed := r.injecting || opts.Probe != nil || opts.Noise != nil
+	r.fusedPath = r.det && !perturbed
 	r.cycOn = false
 	r.cycErr = nil
 	r.cycVirt, r.cycDone, r.cycRec, r.cycGen = 0, 0, 0, 0
@@ -882,207 +883,27 @@ func (r *Replayer) deliver(dst int, k uint64, avail, aux float64) {
 }
 
 // runRank dispatches one rank to the loop its replay mode needs:
-// perturbed replays (delays, noise, fail-stop, probes) take the
-// instrumented loop; deterministic-cost unperturbed replays take the
-// fused loop (macro dispatch + steady-state extrapolation, tracecycle.go);
-// RNG-drawing unperturbed replays keep the scalar loop, whose per-op draw
-// order is the recorded program order.
+// deterministic-cost unperturbed replays take the fused loop (macro
+// dispatch + steady-state extrapolation, tracecycle.go); every other
+// replay — RNG-priced nets, noise, delays, fail-stops, probes — takes the
+// instrumented loop, whose per-op draw order is the recorded program order.
 func (r *Replayer) runRank(id int) {
-	if r.perturbed {
-		r.runRankPerturbed(id)
-		return
-	}
 	if r.fusedPath {
 		r.runRankFused(id)
 		return
 	}
-	r.runRankScalar(id)
+	r.runRankInstrumented(id)
 }
 
-// runRankScalar executes one rank's script ops until the rank blocks or
-// finishes: the replay hot loop for RNG-drawing cost models, every arm
-// straight array arithmetic.
-func (r *Replayer) runRankScalar(id int) {
-	t := r.t
-	net := r.opts.Net
-	det := r.det
-	cnet, ns := r.cnet, r.ns
-	lits, charges := t.lits, r.charges
-	sendSec, availSec, recvSec := r.sendSec, r.availSec, r.recvSec
-	self := &r.rk[id]
-	clock := self.clock
-	sp, op := self.spos, self.opos
-	sEnd := t.sstart[id+1]
-	var chunk []top
-	if sp < sEnd {
-		c := t.script[sp]
-		chunk = t.chunkOps[t.cstart[c]:t.cstart[c+1]]
-	}
-	for {
-		if int(op) >= len(chunk) {
-			if sp >= sEnd {
-				break
-			}
-			sp++
-			op = 0
-			if sp >= sEnd {
-				break
-			}
-			c := t.script[sp]
-			chunk = t.chunkOps[t.cstart[c]:t.cstart[c+1]]
-			continue
-		}
-		o := &chunk[op]
-		switch o.kind {
-		case topChargeParam, topCkpt:
-			// Checkpoints charge like exact parametric ops here: failures
-			// are impossible on the unperturbed path, so the rewind point
-			// needs no tracking and the loop stays allocation-free.
-			if s := charges[o.arg0]; s > 0 {
-				clock += s
-			}
-		case topChargeLit:
-			clock += lits[o.arg0]
-		case topChargeNoisy:
-			s := lits[o.arg0]
-			if n := r.opts.Noise; n != nil {
-				s = n.Perturb(s, r.rng(id))
-			}
-			clock += s
-		case topSendLit, topSendParam:
-			u := int(o.arg2)
-			if o.kind == topSendParam {
-				u += len(t.sizes)
-			}
-			dst := id + int(o.arg0)
-			start := clock
-			avail := start
-			var aux float64 // unread when net == nil
-			if net != nil {
-				ui := u // class-resolved table index: cls*ns + size index
-				if cnet != nil {
-					ui += cnet.ClassOf(id, dst) * ns
-				}
-				if det {
-					clock = start + sendSec[ui]
-					avail = start + availSec[ui]
-					aux = recvSec[ui]
-				} else {
-					rng := r.rng(id)
-					b := int(r.bytes[u])
-					if cnet != nil {
-						cls := ui / ns
-						clock = start + cnet.SendOverheadClass(cls, b, rng)
-						avail = start + cnet.TransitClass(cls, b, rng)
-					} else {
-						clock = start + net.SendOverhead(b, rng)
-						avail = start + net.Transit(b, rng)
-					}
-					aux = float64(ui)
-				}
-			}
-			r.deliver(dst, qkey(id, int(o.arg1)), avail, aux)
-		case topRecv:
-			k := qkey(id+int(o.arg0), int(o.arg1))
-			st := r.streamFast(id, self, k)
-			if st == nil {
-				st = r.streamSlow(id, k)
-			}
-			if st.head >= int32(len(st.msgs)) {
-				// Park: save the cursor at this op; when woken, the outer
-				// loop re-enters runRank and the receive re-executes with
-				// the message queued.
-				self.clock = clock
-				self.spos, self.opos = sp, op
-				self.status = evBlocked
-				self.wantKey = k
-				return
-			}
-			m := st.msgs[st.head]
-			st.head++
-			if st.head == int32(len(st.msgs)) {
-				st.head = 0
-				st.msgs = st.msgs[:0]
-			}
-			if m.avail > clock {
-				clock = m.avail
-			}
-			if net != nil {
-				if det {
-					clock += m.aux
-				} else {
-					ui := int(m.aux)
-					if cnet != nil {
-						clock += cnet.RecvOverheadClass(ui/ns, int(r.bytes[ui%ns]), r.rng(id))
-					} else {
-						clock += net.RecvOverhead(int(r.bytes[ui]), r.rng(id))
-					}
-				}
-			}
-		case topReduce:
-			if self.collResolved {
-				self.collResolved = false
-				clock = self.collDone
-				break
-			}
-			if r.collArrived == 0 {
-				r.collMax = clock
-			} else if clock > r.collMax {
-				r.collMax = clock
-			}
-			r.collArrived++
-			if r.collArrived < t.n {
-				// Park inside the collective; the closing rank resolves the
-				// generation into collDone/collResolved, and the re-executed
-				// op consumes it on resume.
-				r.collWaiters = append(r.collWaiters, int32(id))
-				self.clock = clock
-				self.spos, self.opos = sp, op
-				self.status = rBlockedColl
-				return
-			}
-			// Last participant closes the generation and prices the
-			// collective exactly as the live backends do.
-			done := r.collMax
-			if net != nil {
-				bytes := 8 * int(o.arg0)
-				if det {
-					if r.redMemo.bytes != bytes {
-						r.redMemo = sizeCost{bytes: bytes, sec: net.ReduceCost(t.n, bytes, nil)}
-					}
-					done += r.redMemo.sec
-				} else {
-					done += net.ReduceCost(t.n, bytes, r.collRngStream())
-				}
-			}
-			r.collArrived = 0
-			for _, wid := range r.collWaiters {
-				wr := &r.rk[wid]
-				wr.collDone = done
-				wr.collResolved = true
-				r.wake(int(wid))
-			}
-			r.collWaiters = r.collWaiters[:0]
-			clock = done
-		case topMark:
-			r.marks[o.arg0] = clock
-		}
-		op++
-	}
-	self.clock = clock
-	self.spos, self.opos = sp, 0
-	self.status = evDone
-	r.doneCount++
-}
-
-// runRankPerturbed is runRank with fault injection, compute noise and
-// probe accounting woven into every arm. It is deliberately a separate
-// copy of the hot loop: keeping the cursor/accumulator bookkeeping out
-// of the plain path keeps unperturbed replays at their recorded cost,
-// while this loop pays for exactly what a perturbation study uses.
-// Clocks follow the same schedule law, so a perturbed replay is still
-// bit-identical to the live backends under the same options.
-func (r *Replayer) runRankPerturbed(id int) {
+// runRankInstrumented executes one rank's script ops until the rank
+// blocks or finishes, over the unfused program, with fault injection,
+// compute noise and probe accounting woven into every arm. It is the
+// general replay loop: each instrument is gated on its own option, so a
+// replay pays only for what it uses, and with every one off it prices
+// ops exactly as the fused loop does. Clocks follow the same schedule
+// law, so any replay through it is bit-identical to the live backends
+// under the same options.
+func (r *Replayer) runRankInstrumented(id int) {
 	t := r.t
 	net := r.opts.Net
 	noise := r.opts.Noise

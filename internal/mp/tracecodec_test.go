@@ -132,20 +132,15 @@ func TestTraceCodecRefusesCorruption(t *testing.T) {
 }
 
 // TestTraceCodecRefusesFutureVersion pins refuse-on-version-mismatch: an
-// artifact stamped with a newer codec version must not decode.
+// artifact stamped with any version but the current one — a newer codec,
+// or the retired pre-cycle-metadata v1 — must not decode.
 func TestTraceCodecRefusesFutureVersion(t *testing.T) {
-	tr, _, _ := recordWavefrontTrace(t)
-	data := tr.EncodeBinary()
-	// Re-wrap the payload under a bumped version with a valid checksum.
-	e := artifact.NewEncoder(traceMagic, TraceCodecVersion+1)
-	d, err := artifact.NewDecoder(data, traceMagic, TraceCodecVersion)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = d
-	// Simplest valid future-version artifact: empty payload.
-	if _, err := DecodeTrace(e.Finish()); !errors.Is(err, artifact.ErrVersionMismatch) {
-		t.Fatalf("future version: err = %v, want ErrVersionMismatch", err)
+	for _, v := range []uint16{TraceCodecVersion + 1, 1} {
+		// Simplest valid artifact of that version: empty payload.
+		e := artifact.NewEncoder(traceMagic, v)
+		if _, err := DecodeTrace(e.Finish()); !errors.Is(err, artifact.ErrVersionMismatch) {
+			t.Fatalf("version %d: err = %v, want ErrVersionMismatch", v, err)
+		}
 	}
 }
 

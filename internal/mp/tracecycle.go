@@ -867,8 +867,9 @@ func (r *Replayer) planStore() {
 // fused program: macro steps execute as one dispatch with sub-step resume
 // (rrank.fsub counts consumed receives when parked mid-macro), sends use
 // pre-resolved unified size indices, and the collective-close arm drives
-// cycBoundary. Costs and schedule law are identical to runRankScalar, so
-// clocks stay bit-identical; only dispatch overhead differs.
+// cycBoundary. Costs and schedule law are identical to runRankInstrumented
+// with every instrument off, so clocks stay bit-identical; only dispatch
+// overhead differs.
 func (r *Replayer) runRankFused(id int) {
 	t := r.t
 	net := r.opts.Net
@@ -1004,7 +1005,7 @@ func (r *Replayer) runRankFused(id int) {
 				clock += s
 			}
 		case topChargeLit, topChargeNoisy:
-			// Noise is nil on this path (noise forces the perturbed loop),
+			// Noise is nil on this path (noise forces the instrumented loop),
 			// so a noisy charge replays at its recorded literal.
 			clock += lits[f.arg0]
 		case fSend:

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pacesweep/internal/artifact"
+	"pacesweep/internal/mp"
 )
 
 // withStore attaches a fresh artifact store under t.TempDir and guarantees
@@ -70,53 +71,82 @@ func TestArtifactWarmPredict(t *testing.T) {
 // TestArtifactCorruptionFallsBack pins that a poisoned artifact directory
 // degrades to live compilation instead of failing the prediction — and
 // that the corrupt trace is quarantined, so the key refills with a good
-// artifact instead of re-failing the decode on every restart.
+// artifact instead of re-failing the decode on every restart. A trace
+// stamped with a retired codec version (v1, which predates the cycle
+// block) takes the same clean-miss path.
 func TestArtifactCorruptionFallsBack(t *testing.T) {
-	s := withStore(t)
-	cfg := paperConfig(2, 2)
-	cold, err := testEvaluator(t).Predict(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys, err := s.Keys(artifact.KindTrace)
-	if err != nil || len(keys) != 1 {
-		t.Fatalf("trace keys %v, err %v", keys, err)
-	}
-	// Overwrite the trace artifact with garbage that still parses as a file.
-	if err := s.Put(artifact.KindTrace, keys[0], []byte("not an artifact")); err != nil {
-		t.Fatal(err)
-	}
-	FlushTraceCache()
-	warm, err := testEvaluator(t).Predict(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *warm != *cold {
-		t.Fatalf("fallback prediction differs: %+v != %+v", warm, cold)
-	}
-	// The corrupt artifact was moved aside, not left to poison every load.
-	if st := s.Stats(); st.Quarantined != 1 {
-		t.Fatalf("Quarantined = %d, want 1", st.Quarantined)
-	}
-	if _, err := s.Get(artifact.KindTrace, keys[0]); !errors.Is(err, artifact.ErrNotFound) {
-		t.Fatalf("corrupt trace still served after quarantine: err = %v", err)
-	}
+	for _, tc := range []struct {
+		name   string
+		poison func(good []byte) []byte
+	}{
+		{"garbage", func([]byte) []byte { return []byte("not an artifact") }},
+		{"v1-stamped", func(good []byte) []byte {
+			// Re-wrap the current payload under version 1 with a valid
+			// checksum: only the version stamp is stale. The envelope is
+			// an 18-byte header (magic, version, length) and an 8-byte
+			// checksum trailer.
+			e := artifact.NewEncoder(string(good[:8]), 1)
+			for _, b := range good[18 : len(good)-8] {
+				e.U8(b)
+			}
+			return e.Finish()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := withStore(t)
+			cfg := paperConfig(2, 2)
+			cold, err := testEvaluator(t).Predict(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys, err := s.Keys(artifact.KindTrace)
+			if err != nil || len(keys) != 1 {
+				t.Fatalf("trace keys %v, err %v", keys, err)
+			}
+			good, err := s.Get(artifact.KindTrace, keys[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Put(artifact.KindTrace, keys[0], tc.poison(good)); err != nil {
+				t.Fatal(err)
+			}
+			FlushTraceCache()
+			warm, err := testEvaluator(t).Predict(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *warm != *cold {
+				t.Fatalf("fallback prediction differs: %+v != %+v", warm, cold)
+			}
+			// The bad artifact was moved aside, not left to poison every load.
+			if st := s.Stats(); st.Quarantined != 1 {
+				t.Fatalf("Quarantined = %d, want 1", st.Quarantined)
+			}
+			if _, err := s.Get(artifact.KindTrace, keys[0]); !errors.Is(err, artifact.ErrNotFound) {
+				t.Fatalf("bad trace still served after quarantine: err = %v", err)
+			}
 
-	// The next restart's miss re-publishes a good artifact under the key
-	// and decodes it cleanly — the store healed itself.
-	FlushTraceCache()
-	again, err := testEvaluator(t).Predict(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *again != *cold {
-		t.Fatalf("post-heal prediction differs: %+v != %+v", again, cold)
-	}
-	if _, err := s.Get(artifact.KindTrace, keys[0]); err != nil {
-		t.Fatalf("healed trace artifact missing: %v", err)
-	}
-	if st := s.Stats(); st.Quarantined != 1 {
-		t.Fatalf("Quarantined after heal = %d, want still 1", st.Quarantined)
+			// The next restart's miss re-publishes a good artifact under the
+			// key and decodes it cleanly — the store healed itself.
+			FlushTraceCache()
+			again, err := testEvaluator(t).Predict(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *again != *cold {
+				t.Fatalf("post-heal prediction differs: %+v != %+v", again, cold)
+			}
+			healed, err := s.Get(artifact.KindTrace, keys[0])
+			if err != nil {
+				t.Fatalf("healed trace artifact missing: %v", err)
+			}
+			if _, err := mp.DecodeTrace(healed); err != nil {
+				t.Fatalf("healed trace artifact does not decode at v%d: %v", mp.TraceCodecVersion, err)
+			}
+			if st := s.Stats(); st.Quarantined != 1 {
+				t.Fatalf("Quarantined after heal = %d, want still 1", st.Quarantined)
+			}
+		})
 	}
 }
 

@@ -76,30 +76,10 @@ func (e *Evaluator) TraceForCkpt(cfg Config, ckptEvery int) (*mp.Trace, error) {
 // when non-nil. A nil delays slice with the same noise and seed is the
 // matched baseline: noise draws per rank are in program order on every
 // backend, so baseline and perturbed runs see identical draw sequences
-// and their clock difference is exactly the injected damage.
+// and their clock difference is exactly the injected damage. It is
+// RunResilient with neither checkpoints nor failures.
 func (e *Evaluator) RunPerturbed(cfg Config, delays []mp.Delay, noise mp.ComputeNoise, seed int64, probe *mp.RunProbe) (PerturbedRun, error) {
-	t, k, err := e.traceAndKernel(cfg, 0)
-	if err != nil {
-		return PerturbedRun{}, err
-	}
-	rp, release := e.acquireReplayer()
-	defer release()
-	err = rp.Replay(t, mp.Options{
-		Net:    e.HW.Net(),
-		Noise:  noise,
-		Seed:   seed,
-		Delays: delays,
-		Probe:  probe,
-	}, mp.ReplayParams{Charges: k.charges, Sizes: k.sizes})
-	if err != nil {
-		return PerturbedRun{}, err
-	}
-	traceReplays.Add(1)
-	clocks := make([]float64, t.Ranks())
-	for i := range clocks {
-		clocks[i] = rp.Clock(i)
-	}
-	return PerturbedRun{Makespan: rp.Makespan(), Clocks: clocks}, nil
+	return e.RunResilient(cfg, ResilientOptions{Delays: delays, Noise: noise, Seed: seed, Probe: probe})
 }
 
 // ResilientOptions parameterise a resilient replay: a checkpointed
