@@ -61,6 +61,20 @@ import (
 	"math/rand"
 )
 
+// MaxReplayStreams caps a trace's replay stream table: ranks times link
+// classes (see Trace.LinkClasses). Every Sweep3D shape needs 4 link
+// classes, so the cap admits worlds of 4M ranks; a trace over it fails to
+// build or decode with ErrStreamTable before any table is allocated.
+const MaxReplayStreams = 1 << 24
+
+// ErrStreamTable is returned when a trace's replay stream table would
+// exceed MaxReplayStreams headers.
+var ErrStreamTable = errors.New("mp: trace replay stream table exceeds MaxReplayStreams")
+
+// ErrPartnerOutOfWorld is returned when a trace holds a send or receive
+// whose partner rank lies outside the world.
+var ErrPartnerOutOfWorld = errors.New("mp: trace message partner outside the world")
+
 // SchedulerTrace selects the trace-compiled replay backend: the first Run
 // records the program on the event machinery, later Runs replay the
 // recorded script without goroutines or channels. See the comment above.
@@ -117,6 +131,8 @@ type Trace struct {
 
 	// Derived replay acceleration state, built by finalize() in both
 	// constructors (recording and decoding); immutable like the rest.
+	links        int        // link classes: distinct (relative source, tag) pairs
+	oplink       []int32    // chunkOps[i]'s link class (send/recv), -1 otherwise
 	fops         []fop      // fused programs, per chunk (see tracecycle.go)
 	fstart       []int32    // chunk c's fused ops are fops[fstart[c]:fstart[c+1]]
 	nmacroUnique int        // interned fused macro count
@@ -348,7 +364,7 @@ func (r *traceRec) ckpt(rank, i int) {
 
 // build finalises the trace: tail chunks are flushed and per-rank scripts
 // concatenated into the flat script/sstart layout.
-func (r *traceRec) build() *Trace {
+func (r *traceRec) build() (*Trace, error) {
 	total := 0
 	for rank := 0; rank < r.n; rank++ {
 		r.flush(rank)
@@ -372,8 +388,10 @@ func (r *traceRec) build() *Trace {
 		t.script = append(t.script, r.scripts[rank]...)
 	}
 	t.sstart[r.n] = int32(len(t.script))
-	t.finalize()
-	return t
+	if err := t.finalize(); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 // --- replay ---
@@ -395,13 +413,23 @@ type rmsg struct {
 	aux   float64
 }
 
-// rstream is a per-(src, tag) FIFO of replay messages; consumed entries
-// reset the slice so steady-state capacity is reused. Stream keys live in
-// a parallel packed array (Replayer.skeys) so the per-op lookup scans one
-// cache line instead of striding through these headers.
+// rstream is one receiver's FIFO of replay messages on one link class;
+// consumed entries reset the slice so steady-state capacity is reused.
 type rstream struct {
 	head int32
 	msgs []rmsg
+}
+
+// pop dequeues the oldest message; the caller has checked that one is
+// queued. A drained stream rewinds, so its capacity is reused.
+func (st *rstream) pop() rmsg {
+	m := st.msgs[st.head]
+	st.head++
+	if st.head == int32(len(st.msgs)) {
+		st.head = 0
+		st.msgs = st.msgs[:0]
+	}
+	return m
 }
 
 // Replayer executes recorded traces. It owns all replay storage and
@@ -429,23 +457,19 @@ type Replayer struct {
 	availSec []float64
 	recvSec  []float64
 
-	// Per-rank state. The scheduler-hot fields live in one 40-byte record
+	// Per-rank state. The scheduler-hot fields live in one 32-byte record
 	// per rank (rk), so a block, wake or delivery touches one cache line
 	// instead of striding across parallel arrays; cold state (streams,
 	// RNGs) stays out of it.
 	//
-	// Stream storage is flat and inline: rank r's first rsInline stream
-	// keys live in its rrank record (scanned on the same cache lines the
-	// delivery status check already loads) and the headers at
-	// [r*rsInline, (r+1)*rsInline) of streamFlat, with the rare rank that
-	// talks on more than rsInline (src, tag) pairs spilling into the
-	// per-rank overflow slices.
-	rk          []rrank
-	streamFlat  []rstream
-	overKeys    [][]uint64
-	overStreams [][]rstream
-	rngs        []*rand.Rand
-	rngOK       []bool
+	// Stream storage is one flat table resolved when the trace was built:
+	// rank r's stream on link class l is streams[r*links+l], so a send or
+	// receive reaches its FIFO with one multiply-add and no key lookup.
+	rk      []rrank
+	streams []rstream
+	links   int
+	rngs    []*rand.Rand
+	rngOK   []bool
 
 	heap      clockHeap
 	slot      int
@@ -505,21 +529,15 @@ type Replayer struct {
 	planRed  []float64 // scratch: priced collective costs for fingerprints
 }
 
-// rsInline is the per-rank inline stream capacity; the wavefront needs at
-// most four (two receive streams, two delivery streams).
-const rsInline = 4
-
-// rrank is one rank's scheduler-hot replay state, including its inline
-// stream keys: a delivery's status check, wake-clock read and stream-key
-// scan all land on this one record.
+// rrank is one rank's scheduler-hot replay state: a delivery's status
+// check, wanted-link compare and wake-clock read all land on this one
+// record.
 type rrank struct {
 	clock        float64
-	wantKey      uint64           // the stream a blocked receive waits for
-	collDone     float64          // resolved collective completion clock
-	skey         [rsInline]uint64 // inline stream keys (first nstreams valid)
-	spos         int32            // cursor into Trace.script
-	opos         int32            // cursor within the current chunk (fused index on the fused path)
-	nstreams     uint16           // streams in use (inline + overflow)
+	collDone     float64 // resolved collective completion clock
+	spos         int32   // cursor into Trace.script
+	opos         int32   // cursor within the current chunk (fused index on the fused path)
+	want         int32   // the link class a blocked receive waits on
 	status       uint8
 	fsub         uint8 // receives consumed by a parked fused macro (resume sub-step)
 	collResolved bool  // collDone is pending consumption by the reduce op
@@ -603,7 +621,6 @@ func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams) error {
 	if err := validFailStops(t.n, opts.Fails); err != nil {
 		return err
 	}
-	sameTrace := r.t == t
 	r.opts = opts
 	r.det = opts.Net == nil || netIsDeterministic(opts.Net)
 	r.cnet, r.ncls = classesOf(opts.Net)
@@ -637,39 +654,25 @@ func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams) error {
 		}
 	}
 
+	// Replays of one trace reuse the per-rank state and the stream table,
+	// message buffers included. A new trace gets fresh storage, so a
+	// pooled replayer holds its last trace's tables, not the largest
+	// it has seen.
 	n := t.n
-	if len(r.rk) != n || !sameTrace {
+	if r.t != t {
 		r.rk = make([]rrank, n)
-		r.streamFlat = make([]rstream, n*rsInline)
-		r.overKeys = nil
-		r.overStreams = nil
+		r.streams = make([]rstream, n*t.links)
+		r.links = t.links
 		r.rngs = make([]*rand.Rand, n)
 		r.rngOK = make([]bool, n)
 		if cap(r.heap.e) < n {
 			r.heap.e = make([]heapEntry, 0, n)
 		}
 	} else {
-		for i := 0; i < n; i++ {
-			// Clearing nstreams (via the record reset) retires the keys
-			// without touching them; stream creation order is a pure
-			// function of the schedule, so the same keys land in the same
-			// slots next replay and message capacity is reused.
-			cnt := int(r.rk[i].nstreams)
-			if cnt > rsInline {
-				cnt = rsInline
-			}
-			base := i * rsInline
-			for j := 0; j < cnt; j++ {
-				st := &r.streamFlat[base+j]
-				st.head = 0
-				st.msgs = st.msgs[:0]
-			}
-			if r.overStreams != nil {
-				r.overKeys[i] = r.overKeys[i][:0]
-				r.overStreams[i] = r.overStreams[i][:0]
-			}
-			r.rk[i] = rrank{}
-			r.rngOK[i] = false
+		for i := range r.streams {
+			st := &r.streams[i]
+			st.head = 0
+			st.msgs = st.msgs[:0]
 		}
 	}
 	// Reset cursors start every rank at its script head; the heap is
@@ -678,8 +681,8 @@ func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams) error {
 	r.t = t
 	r.heap.e = r.heap.e[:0]
 	for i := 0; i < n; i++ {
-		r.rk[i].spos = t.sstart[i]
-		r.rk[i].status = evReady
+		r.rk[i] = rrank{spos: t.sstart[i], status: evReady}
+		r.rngOK[i] = false
 		r.heap.e = append(r.heap.e, heapEntry{clock: 0, id: i})
 	}
 	r.slot = -1
@@ -783,53 +786,6 @@ func (r *Replayer) collRngStream() *rand.Rand {
 	return r.collRng
 }
 
-// streamFast scans the rank's inline stream keys (resident in its rrank
-// record) for the key; the hot call sites (receive and deliver) use it
-// directly and fall back to streamSlow on a miss. It must stay small
-// enough to inline.
-func (r *Replayer) streamFast(rank int, rk *rrank, k uint64) *rstream {
-	ns := int(rk.nstreams)
-	if ns > rsInline {
-		ns = rsInline
-	}
-	for i := 0; i < ns; i++ {
-		if rk.skey[i] == k {
-			return &r.streamFlat[rank*rsInline+i]
-		}
-	}
-	return nil
-}
-
-// streamSlow resolves a streamFast miss: overflow lookup, then stream
-// creation (inline slot or per-rank overflow spill).
-func (r *Replayer) streamSlow(rank int, k uint64) *rstream {
-	rk := &r.rk[rank]
-	ns := int(rk.nstreams)
-	if ns > rsInline {
-		over := r.overKeys[rank]
-		for i := range over {
-			if over[i] == k {
-				return &r.overStreams[rank][i]
-			}
-		}
-	}
-	if ns >= 1<<16-1 {
-		panic(errors.New("mp: replay rank exceeds 65534 distinct message streams"))
-	}
-	rk.nstreams++
-	if ns < rsInline {
-		rk.skey[ns] = k
-		return &r.streamFlat[rank*rsInline+ns]
-	}
-	if r.overKeys == nil {
-		r.overKeys = make([][]uint64, len(r.rk))
-		r.overStreams = make([][]rstream, len(r.rk))
-	}
-	r.overKeys[rank] = append(r.overKeys[rank], k)
-	r.overStreams[rank] = append(r.overStreams[rank], rstream{})
-	return &r.overStreams[rank][len(r.overStreams[rank])-1]
-}
-
 // wake marks a blocked rank runnable, mirroring the event scheduler's
 // handoff-slot discipline exactly (same displacement rule, same frozen
 // block-time clocks), so the replay schedule is the event schedule.
@@ -868,16 +824,12 @@ func (r *Replayer) next() int {
 	}
 }
 
-// deliver appends a message to the destination's stream and wakes the
-// destination if it is blocked on exactly that stream.
-func (r *Replayer) deliver(dst int, k uint64, avail, aux float64) {
-	rk := &r.rk[dst]
-	st := r.streamFast(dst, rk, k)
-	if st == nil {
-		st = r.streamSlow(dst, k)
-	}
+// deliver appends a message to the destination's stream on the link
+// class and wakes the destination if it is blocked on exactly that stream.
+func (r *Replayer) deliver(dst int, link int32, avail, aux float64) {
+	st := &r.streams[dst*r.links+int(link)]
 	st.msgs = append(st.msgs, rmsg{avail: avail, aux: aux})
-	if rk.status == evBlocked && rk.wantKey == k {
+	if rk := &r.rk[dst]; rk.status == evBlocked && rk.want == link {
 		r.wake(dst)
 	}
 }
@@ -912,6 +864,7 @@ func (r *Replayer) runRankInstrumented(id int) {
 	lits, charges := t.lits, r.charges
 	sendSec, availSec, recvSec := r.sendSec, r.availSec, r.recvSec
 	self := &r.rk[id]
+	mine := r.streams[id*r.links : (id+1)*r.links]
 	clock := self.clock
 	sp, op := self.spos, self.opos
 	sEnd := t.sstart[id+1]
@@ -939,10 +892,15 @@ func (r *Replayer) runRankInstrumented(id int) {
 	if probe != nil {
 		idle = r.idles[id]
 	}
-	var chunk []top
+	// chunk is the current chunk's ops, oplink their link classes.
+	var (
+		chunk  []top
+		oplink []int32
+	)
 	if sp < sEnd {
 		c := t.script[sp]
 		chunk = t.chunkOps[t.cstart[c]:t.cstart[c+1]]
+		oplink = t.oplink[t.cstart[c]:t.cstart[c+1]]
 	}
 	for {
 		if int(op) >= len(chunk) {
@@ -956,6 +914,7 @@ func (r *Replayer) runRankInstrumented(id int) {
 			}
 			c := t.script[sp]
 			chunk = t.chunkOps[t.cstart[c]:t.cstart[c+1]]
+			oplink = t.oplink[t.cstart[c]:t.cstart[c+1]]
 			continue
 		}
 		o := &chunk[op]
@@ -1036,13 +995,9 @@ func (r *Replayer) runRankInstrumented(id int) {
 					aux = float64(ui)
 				}
 			}
-			r.deliver(dst, qkey(id, int(o.arg1)), avail, aux)
+			r.deliver(dst, oplink[op], avail, aux)
 		case topRecv:
-			k := qkey(id+int(o.arg0), int(o.arg1))
-			st := r.streamFast(id, self, k)
-			if st == nil {
-				st = r.streamSlow(id, k)
-			}
+			st := &mine[oplink[op]]
 			if st.head >= int32(len(st.msgs)) {
 				// Park: save the cursor at this op; when woken, the outer
 				// loop re-enters runRank and the receive re-executes with
@@ -1050,7 +1005,7 @@ func (r *Replayer) runRankInstrumented(id int) {
 				self.clock = clock
 				self.spos, self.opos = sp, op
 				self.status = evBlocked
-				self.wantKey = k
+				self.want = oplink[op]
 				if inj {
 					r.dqs[id], r.opns[id] = dq, opn
 				}
@@ -1062,12 +1017,7 @@ func (r *Replayer) runRankInstrumented(id int) {
 				}
 				return
 			}
-			m := st.msgs[st.head]
-			st.head++
-			if st.head == int32(len(st.msgs)) {
-				st.head = 0
-				st.msgs = st.msgs[:0]
-			}
+			m := st.pop()
 			if m.avail > clock {
 				if probe != nil {
 					idle += m.avail - clock

@@ -1,8 +1,11 @@
 package mp
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
+	"unsafe"
 )
 
 // detAlphaBeta is alphaBeta with the DeterministicCosts opt-in, driving
@@ -395,11 +398,74 @@ func (m jitterNet) ReduceCost(p, b int, rng *rand.Rand) float64 {
 	return m.jitter(m.alphaBeta.ReduceCost(p, b, rng), rng)
 }
 
-// TestTraceStreamOverflow exercises the replayer's overflow stream path:
-// ranks exchanging on more than rsInline (src, tag) pairs must replay
-// bit-identically (and keep doing so across reuse).
-func TestTraceStreamOverflow(t *testing.T) {
-	const n, tags = 3, 7 // 7 tags x 2 peers >> 4 inline stream slots
+// equivalenceMatrix runs prog on n ranks through every backend — the
+// goroutine and event backends, the trace backend's recording run and two
+// replays, and a replay of the recorded trace after encode→decode — and
+// requires every rank's clock to match the goroutine backend bit for bit.
+// It returns the recorded trace.
+func equivalenceMatrix(t *testing.T, n int, opts Options, prog func(c *Comm) error) *Trace {
+	t.Helper()
+	run := func(sched string) *World {
+		o := opts
+		o.Scheduler = sched
+		w, err := NewWorld(n, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Run(prog); err != nil {
+			t.Fatalf("%s: %v", sched, err)
+		}
+		return w
+	}
+	ref := run(SchedulerGoroutine)
+	check := func(name string, clock func(int) float64) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if got, want := clock(i), ref.Clock(i); got != want {
+				t.Fatalf("%s: clock[%d] = %v, goroutine backend %v", name, i, got, want)
+			}
+		}
+	}
+	check("event", run(SchedulerEvent).Clock)
+	tw := run(SchedulerTrace)
+	check("trace recording", tw.Clock)
+	for rep := 1; rep <= 2; rep++ {
+		tw.Reset()
+		if err := tw.Run(prog); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("trace replay %d", rep), tw.Clock)
+	}
+	dec, err := DecodeTrace(tw.Trace().EncodeBinary())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := NewReplayer()
+	if err := rp.Replay(dec, opts, ReplayParams{}); err != nil {
+		t.Fatal(err)
+	}
+	check("decoded trace", rp.Clock)
+	return tw.Trace()
+}
+
+// linkMatrixOpts covers both replay loops: a deterministic flat net and a
+// deterministic two-level class net take the fused loop, a jittering net
+// with compute noise the instrumented one.
+func linkMatrixOpts() map[string]Options {
+	return map[string]Options{
+		"det-flat":   {Net: detAlphaBeta{alphaBeta{alpha: 1e-5, beta: 2e-9}}},
+		"det-hier":   {Net: testHierNets()["two-level"]},
+		"jitter-rng": {Net: jitterNet{alphaBeta{alpha: 1e-5, beta: 2e-9}, 0.2}, Noise: jitterNoise{0.05}, Seed: 5},
+	}
+}
+
+// TestTraceManyLinkClasses drives a trace with many link classes through
+// the equivalence matrix: every rank of a 3-rank ring talks on 14 (source,
+// tag) pairs, and the ring wrap doubles the relative offsets, so the trace
+// carries 28 link classes. Receives run in reverse tag order, so a message
+// landing in another tag's stream would be consumed out of turn.
+func TestTraceManyLinkClasses(t *testing.T) {
+	const n, tags = 3, 7
 	prog := func(c *Comm) error {
 		next := (c.Rank() + 1) % n
 		prev := (c.Rank() + n - 1) % n
@@ -409,7 +475,7 @@ func TestTraceStreamOverflow(t *testing.T) {
 				c.SendN(next, tag, 64*(tag+1), nil)
 				c.SendN(prev, 100+tag, 32*(tag+1), nil)
 			}
-			for tag := 0; tag < tags; tag++ {
+			for tag := tags - 1; tag >= 0; tag-- {
 				c.RecvN(prev, tag)
 				c.RecvN(next, 100+tag)
 			}
@@ -417,30 +483,152 @@ func TestTraceStreamOverflow(t *testing.T) {
 		}
 		return nil
 	}
-	net := detAlphaBeta{alphaBeta{alpha: 1e-5, beta: 2e-9}}
-	ref, err := NewWorld(n, Options{Net: net, Scheduler: SchedulerEvent})
-	if err != nil {
-		t.Fatal(err)
+	for name, opts := range linkMatrixOpts() {
+		t.Run(name, func(t *testing.T) {
+			tr := equivalenceMatrix(t, n, opts, prog)
+			if got := tr.LinkClasses(); got != 4*tags {
+				t.Fatalf("link classes = %d, want %d", got, 4*tags)
+			}
+		})
 	}
-	if err := ref.Run(prog); err != nil {
-		t.Fatal(err)
-	}
-	tw, err := NewWorld(n, Options{Net: net, Scheduler: SchedulerTrace})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rep := 0; rep < 3; rep++ {
-		if rep > 0 {
-			tw.Reset()
+}
+
+// gatherProgram is an all-to-one gather: every rank but 0 sends to rank 0
+// each iteration, and rank 0 receives from the highest rank down, so it
+// blocks on one stream while deliveries land on the others.
+func gatherProgram(iters int) func(c *Comm) error {
+	return func(c *Comm) error {
+		n := c.Size()
+		for it := 0; it < iters; it++ {
+			c.Charge(1e-4 * float64(1+c.Rank()%5))
+			if c.Rank() == 0 {
+				for src := n - 1; src > 0; src-- {
+					c.RecvN(src, 3)
+				}
+			} else {
+				c.SendN(0, 3, 64*c.Rank(), nil)
+			}
+			c.Barrier()
 		}
-		if err := tw.Run(prog); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			if tw.Clock(i) != ref.Clock(i) {
-				t.Fatalf("rep %d: clock[%d] = %v, want %v", rep, i, tw.Clock(i), ref.Clock(i))
+		return nil
+	}
+}
+
+// TestSchedulerEquivalenceGather puts the 64-rank gather through the
+// equivalence matrix: rank 0 alone receives on 63 link classes.
+func TestSchedulerEquivalenceGather(t *testing.T) {
+	const n = 64
+	for name, opts := range linkMatrixOpts() {
+		t.Run(name, func(t *testing.T) {
+			tr := equivalenceMatrix(t, n, opts, gatherProgram(3))
+			if got := tr.LinkClasses(); got != n-1 {
+				t.Fatalf("link classes = %d, want %d", got, n-1)
+			}
+		})
+	}
+}
+
+// paramWavefront is a px x py wavefront priced entirely through the
+// parameter tables: each rank charges ChargeParam((ix+2*iy)%3) per step,
+// so swapping tables changes which ranks are slow and reorders the
+// schedule. The last iteration skips its collective, leaving final clocks
+// that differ by rank.
+func paramWavefront(px, py, iters int) func(c *Comm) error {
+	return func(c *Comm) error {
+		ix, iy := c.Rank()%px, c.Rank()/px
+		for it := 0; it < iters; it++ {
+			for _, sx := range []int{+1, -1} {
+				for _, sy := range []int{+1, -1} {
+					upX, downX := ix-sx, ix+sx
+					upY, downY := iy-sy, iy+sy
+					if upX >= 0 && upX < px {
+						c.RecvN(iy*px+upX, 1)
+					}
+					if upY >= 0 && upY < py {
+						c.RecvN(upY*px+ix, 2)
+					}
+					c.ChargeParam((ix + 2*iy) % 3)
+					if downX >= 0 && downX < px {
+						c.SendParam(iy*px+downX, 1, 0)
+					}
+					if downY >= 0 && downY < py {
+						c.SendParam(downY*px+ix, 2, 1)
+					}
+				}
+			}
+			if it < iters-1 {
+				c.AllreduceMax(0)
 			}
 		}
+		return nil
+	}
+}
+
+// TestTraceReplayZeroAllocsAcrossParams pins the stream table's reuse
+// across cost tables: a warmed fused-path replayer alternating three
+// charge/size tables, each of which finishes the ranks in a different
+// order, makes no heap allocation per replay. The trace has too few generations for a
+// steady cycle, so every replay runs in full.
+func TestTraceReplayZeroAllocsAcrossParams(t *testing.T) {
+	const px, py = 8, 8
+	net := detAlphaBeta{alphaBeta{alpha: 1e-6, beta: 1e-9}}
+	tables := []ReplayParams{
+		{Charges: []float64{1e-4, 5e-4, 2e-4}, Sizes: []int{1200, 960}},
+		{Charges: []float64{5e-4, 1e-4, 2e-4}, Sizes: []int{64, 50000}},
+		{Charges: []float64{2e-4, 2e-4, 9e-4}, Sizes: []int{8000, 8}},
+	}
+	w, err := NewWorld(px*py, Options{Net: net, Scheduler: SchedulerEvent})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SetParams(tables[0].Charges, tables[0].Sizes)
+	tr, err := w.RunRecorded(paramWavefront(px, py, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.CycleDetected() {
+		t.Fatal("trace has a steady cycle; the test needs full replays")
+	}
+	rp := NewReplayer()
+	opts := Options{Net: net}
+	orders := make(map[string]bool)
+	for _, p := range tables {
+		if err := rp.Replay(tr, opts, p); err != nil {
+			t.Fatal(err)
+		}
+		if !rp.fusedPath {
+			t.Fatal("replay left the fused path")
+		}
+		ranks := make([]int, tr.Ranks())
+		for i := range ranks {
+			ranks[i] = i
+		}
+		sort.SliceStable(ranks, func(a, b int) bool { return rp.Clock(ranks[a]) < rp.Clock(ranks[b]) })
+		orders[fmt.Sprint(ranks)] = true
+	}
+	if len(orders) != len(tables) {
+		t.Fatalf("tables give %d distinct rank orders, want %d", len(orders), len(tables))
+	}
+	k := 0
+	avg := testing.AllocsPerRun(30, func() {
+		if err := rp.Replay(tr, opts, tables[k%len(tables)]); err != nil {
+			t.Fatal(err)
+		}
+		k++
+	})
+	if avg != 0 {
+		t.Errorf("replay allocations across cost tables = %v per run, want 0", avg)
+	}
+}
+
+// TestReplayRecordSizes pins the hot replay records: the per-rank
+// scheduler record and the fused op.
+func TestReplayRecordSizes(t *testing.T) {
+	if got := unsafe.Sizeof(rrank{}); got != 32 {
+		t.Errorf("rrank is %d bytes, want 32", got)
+	}
+	if got := unsafe.Sizeof(fop{}); got > 48 {
+		t.Errorf("fop is %d bytes, want <= 48", got)
 	}
 }
 

@@ -95,9 +95,12 @@ func (t *Trace) EncodeBinary() []byte {
 // DecodeTrace loads a trace artifact encoded by EncodeBinary. The envelope
 // (magic, version, checksum) is verified before any field is read, and the
 // decoded structure is validated — chunk table monotone, chunk ids and op
-// kinds in range — so a decoded trace can never drive the replayer out of
-// bounds. Corruption fails with artifact.ErrChecksum (or ErrTruncated /
-// ErrFormat); a partial Trace is never returned.
+// kinds in range, every message partner inside the world — so a decoded
+// trace can never drive the replayer out of bounds. Corruption fails with
+// artifact.ErrChecksum (or ErrTruncated / ErrFormat); a partial Trace is
+// never returned. A partner outside the world is ErrFormat wrapping
+// ErrPartnerOutOfWorld, and a stream table over MaxReplayStreams is
+// ErrFormat wrapping ErrStreamTable.
 //
 // Only TraceCodecVersion decodes; any other version fails with
 // artifact.ErrVersionMismatch. The optional steady-state cycle metadata
@@ -182,8 +185,9 @@ func DecodeTrace(data []byte) (*Trace, error) {
 	if err := t.validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", artifact.ErrFormat, err)
 	}
-	t.buildFused()
-	t.collectReduceSizes()
+	if err := t.derive(); err != nil {
+		return nil, fmt.Errorf("%w: %w", artifact.ErrFormat, err)
+	}
 	if meta != nil {
 		if err := t.installCycle(meta); err != nil {
 			return nil, fmt.Errorf("%w: %v", artifact.ErrFormat, err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -183,5 +184,104 @@ func TestSchedulerEquivalenceDecodedTrace(t *testing.T) {
 				t.Fatalf("seed %d: clock[%d] goroutine %v != decoded-trace replay %v", seed, i, gc[i], clocks[i])
 			}
 		}
+	}
+}
+
+// TestTraceCodecRejectsOutOfWorldPartner corrupts one send's or one
+// receive's partner offset to point outside the 12-rank world and
+// re-encodes the trace (so the checksum is valid): decode must fail with
+// ErrPartnerOutOfWorld under ErrFormat, never hand the replayer an index
+// past its tables.
+func TestTraceCodecRejectsOutOfWorldPartner(t *testing.T) {
+	tr, _, _ := recordWavefrontTrace(t)
+	for _, tc := range []struct {
+		name   string
+		kind   uint8
+		offset int32
+	}{
+		{"send-above", topSendParam, 1000},
+		{"send-below", topSendParam, -1000},
+		{"recv-above", topRecv, 12},
+		{"recv-below", topRecv, -12},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := *tr
+			bad.chunkOps = append([]top(nil), tr.chunkOps...)
+			hit := false
+			for i := range bad.chunkOps {
+				if bad.chunkOps[i].kind == tc.kind {
+					bad.chunkOps[i].arg0 = tc.offset
+					hit = true
+					break
+				}
+			}
+			if !hit {
+				t.Fatalf("trace has no op of kind %d", tc.kind)
+			}
+			dec, err := DecodeTrace(bad.EncodeBinary())
+			if !errors.Is(err, ErrPartnerOutOfWorld) || !errors.Is(err, artifact.ErrFormat) {
+				t.Fatalf("err = %v (trace %v), want ErrFormat wrapping ErrPartnerOutOfWorld", err, dec)
+			}
+		})
+	}
+}
+
+// manyClassTrace hand-builds an n-rank trace whose ranks 0..n-2 each
+// receive from rank+1 on the given number of distinct tags, giving it
+// n x classes stream headers; rank n-1 runs nothing.
+func manyClassTrace(n, classes int) *Trace {
+	t := &Trace{n: n, maxChPar: -1, maxSzPar: -1, cstart: []int32{0, int32(classes)}}
+	for tag := 0; tag < classes; tag++ {
+		t.chunkOps = append(t.chunkOps, top{kind: topRecv, arg0: 1, arg1: int32(tag)})
+	}
+	t.sstart = make([]int32, n+1)
+	for r := 0; r < n-1; r++ {
+		t.script = append(t.script, 0)
+		t.sstart[r+1] = int32(len(t.script))
+	}
+	t.sstart[n] = int32(len(t.script))
+	t.ops = (n - 1) * classes
+	return t
+}
+
+// TestTraceStreamTableCap pins MaxReplayStreams: a trace whose stream
+// table (ranks x link classes) exceeds the cap fails to decode and to
+// build with ErrStreamTable, without allocating the table (512 MB here);
+// a trace exactly at the cap decodes.
+func TestTraceStreamTableCap(t *testing.T) {
+	const n = 4096 // n * (n+1) headers is just over 1<<24
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const budget = 64 << 20
+	var err error
+	if got := allocated(func() { _, err = DecodeTrace(manyClassTrace(n, n+1).EncodeBinary()) }); got > budget {
+		t.Errorf("rejected decode allocated %d bytes", got)
+	}
+	if !errors.Is(err, ErrStreamTable) || !errors.Is(err, artifact.ErrFormat) {
+		t.Fatalf("decode over the cap: err = %v, want ErrFormat wrapping ErrStreamTable", err)
+	}
+
+	rec := newTraceRec(n)
+	for tag := 0; tag <= n; tag++ {
+		rec.recv(0, 1, tag)
+	}
+	if got := allocated(func() { _, err = rec.build() }); got > budget {
+		t.Errorf("rejected build allocated %d bytes", got)
+	}
+	if !errors.Is(err, ErrStreamTable) {
+		t.Fatalf("build over the cap: err = %v, want ErrStreamTable", err)
+	}
+
+	at, err := DecodeTrace(manyClassTrace(n, n).EncodeBinary())
+	if err != nil {
+		t.Fatalf("decode at the cap: %v", err)
+	}
+	if got := at.Ranks() * at.LinkClasses(); got != MaxReplayStreams {
+		t.Fatalf("stream headers = %d, want %d", got, MaxReplayStreams)
 	}
 }

@@ -58,6 +58,7 @@ package mp
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 )
@@ -73,19 +74,21 @@ var ErrCannotExtrapolate = errors.New("mp: trace replay cannot extrapolate (no u
 // kind except sends, which are normalised to fSend with the unified size
 // index pre-resolved.
 const (
-	fSend  uint8 = 32 // send to rank+arg0, tag arg1, unified size index arg2
+	fSend  uint8 = 32 // send to rank+arg0 on link class arg1, unified size index arg2
 	fMacro uint8 = 33 // nr recvs, one charge (literal or param), ns sends
 )
 
-// fop is one fused-program operation. For fMacro: recv 0 is (arg0, arg1),
-// recv 1 is (r1src, r1tag), the charge index is arg2, and the sends are
-// (s0dst, s0tag, s0u) and (s1dst, s1tag, s1u) with pre-unified size
-// indices. Scalar kinds use arg0/arg1/arg2 exactly like top.
+// fop is one fused-program operation. Messages carry their link class
+// (Trace.buildLinks) in place of the tag, so the loop indexes the stream
+// table directly. For fMacro: recv 0 is on link arg1, recv 1 on r1link,
+// the charge index is arg2, and the sends are (s0dst, s0link, s0u) and
+// (s1dst, s1link, s1u) with pre-unified size indices. Scalar kinds use
+// arg0/arg1/arg2 like top, with arg1 the link class on sends and receives.
 type fop struct {
 	arg0, arg1, arg2 int32
-	r1src, r1tag     int32
-	s0dst, s0tag     int32
-	s1dst, s1tag     int32
+	r1link           int32
+	s0dst, s0link    int32
+	s1dst, s1link    int32
 	s0u, s1u         int32
 	kind             uint8
 	nr, ns           uint8
@@ -122,14 +125,92 @@ type traceCycle struct {
 }
 
 // finalize derives the replay acceleration structures after the scalar
-// tables are in place: the fused programs, the distinct collective payload
-// sizes, and the steady-state cycle. Both trace constructors (recording
-// and decoding) call it, so every Trace carries them.
-func (t *Trace) finalize() {
+// tables are in place: the link classes, the fused programs, the distinct
+// collective payload sizes, and the steady-state cycle. Both trace
+// constructors (recording and decoding) call it, so every Trace carries
+// them.
+func (t *Trace) finalize() error {
+	if err := t.derive(); err != nil {
+		return err
+	}
+	t.detectCycle()
+	return nil
+}
+
+// derive builds the cycle-independent replay structures: link classes,
+// fused programs and collective payload sizes. It fails on a message
+// partner outside the world and on a stream table over MaxReplayStreams.
+func (t *Trace) derive() error {
+	if err := t.buildLinks(); err != nil {
+		return err
+	}
 	t.buildFused()
 	t.collectReduceSizes()
-	t.detectCycle()
+	return nil
 }
+
+// --- link classes ---
+
+// buildLinks gives every send and receive its link class: a dense,
+// trace-wide index of the (relative source, tag) pair seen from the
+// receiver. A receive from rank+d on tag g has class (d, g); a send to
+// rank+d on tag g lands in the receiver's class (-d, g). For a fixed
+// receiver the relative source names the absolute source, so one class
+// is exactly one (source, tag) FIFO of the live backends, and the replay
+// stream table is ranks x classes headers (4 classes for every
+// wavefront: +-1 on tag 1, +-PX on tag 2).
+//
+// The same pass bounds every partner to the world: per-chunk min/max
+// offsets are checked against each rank that runs the chunk, so the
+// stream index dst*links+class can never leave the table.
+func (t *Trace) buildLinks() error {
+	nchunks := len(t.cstart) - 1
+	t.oplink = make([]int32, len(t.chunkOps))
+	lo := make([]int32, nchunks) // per chunk: min and max partner offset
+	hi := make([]int32, nchunks)
+	class := make(map[uint64]int32)
+	for c := 0; c < nchunks; c++ {
+		for i := t.cstart[c]; i < t.cstart[c+1]; i++ {
+			o := &t.chunkOps[i]
+			rel := o.arg0
+			switch o.kind {
+			case topRecv:
+			case topSendLit, topSendParam:
+				rel = -rel
+			default:
+				t.oplink[i] = -1
+				continue
+			}
+			lo[c] = min(lo[c], o.arg0)
+			hi[c] = max(hi[c], o.arg0)
+			k := qkey(int(rel), int(o.arg1))
+			l, ok := class[k]
+			if !ok {
+				l = int32(len(class))
+				class[k] = l
+			}
+			t.oplink[i] = l
+		}
+	}
+	for r := 0; r < t.n; r++ {
+		for si, c := range t.script[t.sstart[r]:t.sstart[r+1]] {
+			if r+int(lo[c]) < 0 || r+int(hi[c]) >= t.n {
+				return fmt.Errorf("%w: rank %d script chunk %d has partner offsets %d..%d in %d ranks",
+					ErrPartnerOutOfWorld, r, si, lo[c], hi[c], t.n)
+			}
+		}
+	}
+	t.links = len(class)
+	if t.links > 0 && t.n > MaxReplayStreams/t.links {
+		return fmt.Errorf("%w: %d ranks x %d link classes", ErrStreamTable, t.n, t.links)
+	}
+	return nil
+}
+
+// LinkClasses returns the trace's link-class count: the distinct
+// (relative source, tag) pairs its messages travel on. A replay holds
+// Ranks() x LinkClasses() stream headers.
+func (t *Trace) LinkClasses() int { return t.links }
 
 // --- macro-op fusion ---
 
@@ -146,14 +227,15 @@ func (t *Trace) buildFused() {
 	t.nmacroUnique = 0
 	for c := 0; c < nchunks; c++ {
 		ops := t.chunkOps[t.cstart[c]:t.cstart[c+1]]
+		links := t.oplink[t.cstart[c]:t.cstart[c+1]]
 		for i := 0; i < len(ops); {
-			if f, n := fuseMacro(ops[i:], nlit); n > 0 {
+			if f, n := fuseMacro(ops[i:], links[i:], nlit); n > 0 {
 				fops = append(fops, f)
 				t.nmacroUnique++
 				i += n
 				continue
 			}
-			fops = append(fops, scalarFop(&ops[i], nlit))
+			fops = append(fops, scalarFop(&ops[i], links[i], nlit))
 			i++
 		}
 		t.fstart[c+1] = int32(len(fops))
@@ -171,18 +253,18 @@ func (t *Trace) buildFused() {
 	}
 }
 
-// fuseMacro tries to fuse a macro step at the head of ops, returning the
-// fused op and the number of scalar ops consumed (0: no macro here). A
-// macro needs at least one communication op around its charge; a lone
-// charge stays scalar.
-func fuseMacro(ops []top, nlit int32) (fop, int) {
+// fuseMacro tries to fuse a macro step at the head of ops (whose link
+// classes are links), returning the fused op and the number of scalar ops
+// consumed (0: no macro here). A macro needs at least one communication
+// op around its charge; a lone charge stays scalar.
+func fuseMacro(ops []top, links []int32, nlit int32) (fop, int) {
 	var f fop
 	i := 0
 	for i < len(ops) && ops[i].kind == topRecv && f.nr < 2 {
 		if f.nr == 0 {
-			f.arg0, f.arg1 = ops[i].arg0, ops[i].arg1
+			f.arg0, f.arg1 = ops[i].arg0, links[i]
 		} else {
-			f.r1src, f.r1tag = ops[i].arg0, ops[i].arg1
+			f.r1link = links[i]
 		}
 		f.nr++
 		i++
@@ -201,9 +283,9 @@ func fuseMacro(ops []top, nlit int32) (fop, int) {
 			u += nlit
 		}
 		if f.ns == 0 {
-			f.s0dst, f.s0tag, f.s0u = ops[i].arg0, ops[i].arg1, u
+			f.s0dst, f.s0link, f.s0u = ops[i].arg0, links[i], u
 		} else {
-			f.s1dst, f.s1tag, f.s1u = ops[i].arg0, ops[i].arg1, u
+			f.s1dst, f.s1link, f.s1u = ops[i].arg0, links[i], u
 		}
 		f.ns++
 		i++
@@ -215,16 +297,18 @@ func fuseMacro(ops []top, nlit int32) (fop, int) {
 	return f, i
 }
 
-// scalarFop lowers one scalar op into the fused program, pre-resolving
-// send size indices into the unified table.
-func scalarFop(o *top, nlit int32) fop {
+// scalarFop lowers one scalar op (of link class link) into the fused
+// program, pre-resolving send size indices into the unified table.
+func scalarFop(o *top, link, nlit int32) fop {
 	f := fop{kind: o.kind, arg0: o.arg0, arg1: o.arg1, arg2: o.arg2}
 	switch o.kind {
 	case topSendLit:
-		f.kind = fSend
+		f.kind, f.arg1 = fSend, link
 	case topSendParam:
-		f.kind = fSend
+		f.kind, f.arg1 = fSend, link
 		f.arg2 += nlit
+	case topRecv:
+		f.arg1 = link
 	}
 	return f
 }
@@ -585,26 +669,9 @@ func sameBinade(a, b float64) bool {
 // precondition for any cursor transplant: a jump moves clocks and cursors,
 // never queued messages.
 func (r *Replayer) streamsIdle() bool {
-	for i := range r.rk {
-		cnt := int(r.rk[i].nstreams)
-		inl := cnt
-		if inl > rsInline {
-			inl = rsInline
-		}
-		base := i * rsInline
-		for j := 0; j < inl; j++ {
-			st := &r.streamFlat[base+j]
-			if st.head < int32(len(st.msgs)) {
-				return false
-			}
-		}
-		if cnt > rsInline {
-			for j := range r.overStreams[i] {
-				st := &r.overStreams[i][j]
-				if st.head < int32(len(st.msgs)) {
-					return false
-				}
-			}
+	for i := range r.streams {
+		if st := &r.streams[i]; st.head < int32(len(st.msgs)) {
+			return false
 		}
 	}
 	return true
@@ -877,6 +944,7 @@ func (r *Replayer) runRankFused(id int) {
 	lits, charges := t.lits, r.charges
 	sendSec, availSec, recvSec := r.sendSec, r.availSec, r.recvSec
 	self := &r.rk[id]
+	mine := r.streams[id*r.links : (id+1)*r.links]
 	clock := self.clock
 	sp, op := self.spos, self.opos
 	sub := self.fsub
@@ -905,24 +973,15 @@ func (r *Replayer) runRankFused(id int) {
 		switch f.kind {
 		case fMacro:
 			if f.nr > 0 && sub == 0 {
-				k := qkey(id+int(f.arg0), int(f.arg1))
-				st := r.streamFast(id, self, k)
-				if st == nil {
-					st = r.streamSlow(id, k)
-				}
+				st := &mine[f.arg1]
 				if st.head >= int32(len(st.msgs)) {
 					self.clock = clock
 					self.spos, self.opos = sp, op
 					self.status = evBlocked
-					self.wantKey = k
+					self.want = f.arg1
 					return // fsub already 0: resume re-executes recv 0
 				}
-				m := st.msgs[st.head]
-				st.head++
-				if st.head == int32(len(st.msgs)) {
-					st.head = 0
-					st.msgs = st.msgs[:0]
-				}
+				m := st.pop()
 				if m.avail > clock {
 					clock = m.avail
 				}
@@ -932,25 +991,16 @@ func (r *Replayer) runRankFused(id int) {
 				sub = 1
 			}
 			if f.nr > 1 {
-				k := qkey(id+int(f.r1src), int(f.r1tag))
-				st := r.streamFast(id, self, k)
-				if st == nil {
-					st = r.streamSlow(id, k)
-				}
+				st := &mine[f.r1link]
 				if st.head >= int32(len(st.msgs)) {
 					self.clock = clock
 					self.spos, self.opos = sp, op
 					self.status = evBlocked
-					self.wantKey = k
+					self.want = f.r1link
 					self.fsub = 1 // recv 0 consumed; resume at recv 1
 					return
 				}
-				m := st.msgs[st.head]
-				st.head++
-				if st.head == int32(len(st.msgs)) {
-					st.head = 0
-					st.msgs = st.msgs[:0]
-				}
+				m := st.pop()
 				if m.avail > clock {
 					clock = m.avail
 				}
@@ -982,7 +1032,7 @@ func (r *Replayer) runRankFused(id int) {
 					avail = start + availSec[ui]
 					aux = recvSec[ui]
 				}
-				r.deliver(dst, qkey(id, int(f.s0tag)), avail, aux)
+				r.deliver(dst, f.s0link, avail, aux)
 			}
 			if f.ns > 1 {
 				dst := id + int(f.s1dst)
@@ -998,7 +1048,7 @@ func (r *Replayer) runRankFused(id int) {
 					avail = start + availSec[ui]
 					aux = recvSec[ui]
 				}
-				r.deliver(dst, qkey(id, int(f.s1tag)), avail, aux)
+				r.deliver(dst, f.s1link, avail, aux)
 			}
 		case topChargeParam, topCkpt:
 			if s := charges[f.arg0]; s > 0 {
@@ -1022,26 +1072,17 @@ func (r *Replayer) runRankFused(id int) {
 				avail = start + availSec[ui]
 				aux = recvSec[ui]
 			}
-			r.deliver(dst, qkey(id, int(f.arg1)), avail, aux)
+			r.deliver(dst, f.arg1, avail, aux)
 		case topRecv:
-			k := qkey(id+int(f.arg0), int(f.arg1))
-			st := r.streamFast(id, self, k)
-			if st == nil {
-				st = r.streamSlow(id, k)
-			}
+			st := &mine[f.arg1]
 			if st.head >= int32(len(st.msgs)) {
 				self.clock = clock
 				self.spos, self.opos = sp, op
 				self.status = evBlocked
-				self.wantKey = k
+				self.want = f.arg1
 				return
 			}
-			m := st.msgs[st.head]
-			st.head++
-			if st.head == int32(len(st.msgs)) {
-				st.head = 0
-				st.msgs = st.msgs[:0]
-			}
+			m := st.pop()
 			if m.avail > clock {
 				clock = m.avail
 			}

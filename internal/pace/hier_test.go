@@ -29,7 +29,7 @@ func hierTestModel() *hwmodel.Model {
 	return m
 }
 
-func hierEvaluator(t *testing.T, m *hwmodel.Model) *Evaluator {
+func hierEvaluator(t testing.TB, m *hwmodel.Model) *Evaluator {
 	t.Helper()
 	analysis, err := capp.SweepKernelAnalysis()
 	if err != nil {

@@ -28,7 +28,7 @@ func testModel() *hwmodel.Model {
 	}
 }
 
-func testEvaluator(t *testing.T) *Evaluator {
+func testEvaluator(t testing.TB) *Evaluator {
 	t.Helper()
 	analysis, err := capp.SweepKernelAnalysis()
 	if err != nil {
