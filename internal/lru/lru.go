@@ -26,10 +26,15 @@
 package lru
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"sync/atomic"
 )
+
+// errBuildPanicked is the error a GetOrBuild flight reports to its
+// waiters when its build panicked (the building caller sees the panic).
+var errBuildPanicked = errors.New("lru: build panicked")
 
 // entry is one cached key/value pair. It lives in exactly one shard's map
 // and that shard's intrusive LRU list. The value is readable when done is
@@ -257,16 +262,23 @@ func (c *Cache[K, V]) GetOrBuild(k K, build func() (V, error)) (V, error) {
 		c.misses.Add(1)
 	}
 	e.once.Do(func() {
-		e.v, e.err = build()
-		e.done.Store(true)
-		if e.err != nil {
-			s.mu.Lock()
-			if cur, still := s.m[k]; still && cur == e {
-				s.unlink(e)
-				delete(s.m, k)
+		// Publish from a defer, with the error preset, so a build that
+		// panics fails its flight like a build error: waiters get
+		// errBuildPanicked and the entry is dropped, instead of staying
+		// resident with a zero value that later calls return as a result.
+		e.err = errBuildPanicked
+		defer func() {
+			e.done.Store(true)
+			if e.err != nil {
+				s.mu.Lock()
+				if cur, still := s.m[k]; still && cur == e {
+					s.unlink(e)
+					delete(s.m, k)
+				}
+				s.mu.Unlock()
 			}
-			s.mu.Unlock()
-		}
+		}()
+		e.v, e.err = build()
 	})
 	if ok {
 		// Joined an in-flight build: count by its outcome — a coalesced

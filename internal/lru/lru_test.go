@@ -168,6 +168,28 @@ func TestBuildErrorNotCached(t *testing.T) {
 	}
 }
 
+// TestBuildPanicNotCached: a build that panics propagates the panic to
+// its caller, leaves no entry behind, and the next call rebuilds instead
+// of returning a zero value as a cached result.
+func TestBuildPanicNotCached(t *testing.T) {
+	c := New[int, int](8, 1, intHash)
+	func() {
+		defer func() {
+			if p := recover(); p != "boom" {
+				t.Fatalf("recovered %v, want the build's panic", p)
+			}
+		}()
+		c.GetOrBuild(1, func() (int, error) { panic("boom") })
+	}()
+	if c.Len() != 0 {
+		t.Fatalf("panicked entry retained: len = %d", c.Len())
+	}
+	v, err := c.GetOrBuild(1, func() (int, error) { return 7, nil })
+	if err != nil || v != 7 {
+		t.Fatalf("retry = %d, %v", v, err)
+	}
+}
+
 // TestFailedCoalescedBuildCountsMiss: a waiter that joins an in-flight
 // build which then fails must not be recorded as a cache hit.
 func TestFailedCoalescedBuildCountsMiss(t *testing.T) {

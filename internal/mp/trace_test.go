@@ -402,8 +402,9 @@ func (m jitterNet) ReduceCost(p, b int, rng *rand.Rand) float64 {
 // goroutine and event backends, the trace backend's recording run and two
 // replays, and a replay of the recorded trace after encode→decode — and
 // requires every rank's clock to match the goroutine backend bit for bit.
-// It returns the recorded trace.
-func equivalenceMatrix(t *testing.T, n int, opts Options, prog func(c *Comm) error) *Trace {
+// Every backend prices ChargeParam/SendParam ops from the tables in p. It
+// returns the recorded trace.
+func equivalenceMatrix(t *testing.T, n int, opts Options, p ReplayParams, prog func(c *Comm) error) *Trace {
 	t.Helper()
 	run := func(sched string) *World {
 		o := opts
@@ -412,6 +413,7 @@ func equivalenceMatrix(t *testing.T, n int, opts Options, prog func(c *Comm) err
 		if err != nil {
 			t.Fatal(err)
 		}
+		w.SetParams(p.Charges, p.Sizes)
 		if err := w.Run(prog); err != nil {
 			t.Fatalf("%s: %v", sched, err)
 		}
@@ -441,7 +443,7 @@ func equivalenceMatrix(t *testing.T, n int, opts Options, prog func(c *Comm) err
 		t.Fatal(err)
 	}
 	rp := NewReplayer()
-	if err := rp.Replay(dec, opts, ReplayParams{}); err != nil {
+	if err := rp.Replay(dec, opts, p); err != nil {
 		t.Fatal(err)
 	}
 	check("decoded trace", rp.Clock)
@@ -485,7 +487,7 @@ func TestTraceManyLinkClasses(t *testing.T) {
 	}
 	for name, opts := range linkMatrixOpts() {
 		t.Run(name, func(t *testing.T) {
-			tr := equivalenceMatrix(t, n, opts, prog)
+			tr := equivalenceMatrix(t, n, opts, ReplayParams{}, prog)
 			if got := tr.LinkClasses(); got != 4*tags {
 				t.Fatalf("link classes = %d, want %d", got, 4*tags)
 			}
@@ -520,7 +522,7 @@ func TestSchedulerEquivalenceGather(t *testing.T) {
 	const n = 64
 	for name, opts := range linkMatrixOpts() {
 		t.Run(name, func(t *testing.T) {
-			tr := equivalenceMatrix(t, n, opts, gatherProgram(3))
+			tr := equivalenceMatrix(t, n, opts, ReplayParams{}, gatherProgram(3))
 			if got := tr.LinkClasses(); got != n-1 {
 				t.Fatalf("link classes = %d, want %d", got, n-1)
 			}
@@ -561,6 +563,20 @@ func paramWavefront(px, py, iters int) func(c *Comm) error {
 			}
 		}
 		return nil
+	}
+}
+
+// TestSchedulerEquivalenceParamWavefront puts the parameter-priced
+// wavefront through the equivalence matrix. Under the jitter-rng row its
+// ChargeParam ops draw compute noise, the path every noisy perturbation
+// scenario replays.
+func TestSchedulerEquivalenceParamWavefront(t *testing.T) {
+	const px, py = 4, 3
+	p := ReplayParams{Charges: []float64{1e-4, 5e-4, 2e-4}, Sizes: []int{1200, 960}}
+	for name, opts := range linkMatrixOpts() {
+		t.Run(name, func(t *testing.T) {
+			equivalenceMatrix(t, px*py, opts, p, paramWavefront(px, py, 3))
+		})
 	}
 }
 

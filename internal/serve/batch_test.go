@@ -202,8 +202,8 @@ func TestBatchedSweepByteIdentical(t *testing.T) {
 }
 
 // TestBatchSweepGrouping unit-tests the shape grouping: points of one
-// (platform, shape) stay contiguous, spans never cross shape boundaries,
-// and a single-shape sweep still splits into multiple spans for the pool.
+// (platform, shape) share units, units never cross shape boundaries,
+// and a single-shape sweep still splits into multiple units for the pool.
 func TestBatchSweepGrouping(t *testing.T) {
 	s := newTestServer(t, nil)
 	mk := func(platform string, px, mk int) PredictRequest {
@@ -217,37 +217,35 @@ func TestBatchSweepGrouping(t *testing.T) {
 		mk("alpha", 2, 10), mk("beta", 2, 10), mk("alpha", 2, 10),
 		mk("alpha", 3, 10), mk("alpha", 2, 25), mk("beta", 2, 10),
 	}
-	order, spans := s.batchSweep(points, 2)
-	if len(order) != len(points) {
-		t.Fatalf("order holds %d of %d points", len(order), len(points))
-	}
-	groupAt := func(i int) sweepGroupKey { return sweepGroupOf(&points[order[i]]) }
-	for _, sp := range spans {
-		for i := sp.lo + 1; i < sp.hi; i++ {
-			if groupAt(i) != groupAt(sp.lo) {
-				t.Fatalf("span %+v crosses shape boundary at %d", sp, i)
+	units := s.batchSweep(points, 2)
+	covered := 0
+	seen := map[sweepGroupKey]bool{}
+	for _, unit := range units {
+		covered += len(unit)
+		for _, i := range unit[1:] {
+			if sweepGroupOf(&points[i]) != sweepGroupOf(&points[unit[0]]) {
+				t.Fatalf("unit %v crosses shape boundary at point %d", unit, i)
 			}
 		}
+		seen[sweepGroupOf(&points[unit[0]])] = true
+	}
+	if covered != len(points) {
+		t.Fatalf("units hold %d of %d points", covered, len(points))
 	}
 	// mk=10 vs mk=25 at nz=50: different nkb -> different groups; the two
 	// platforms split too. Expect 4 groups: alpha/2x1/mk10 (x2), beta (x2),
 	// alpha/3x1, alpha/mk25.
-	seen := map[sweepGroupKey]bool{}
-	for i := range order {
-		seen[groupAt(i)] = true
-	}
 	if len(seen) != 4 {
 		t.Fatalf("grouping produced %d shapes, want 4", len(seen))
 	}
 
-	// One giant single-shape sweep must split into >= workers spans.
+	// One giant single-shape sweep must split into >= workers units.
 	big := make([]PredictRequest, 64)
 	for i := range big {
 		big[i] = mk("alpha", 2, 10)
 	}
-	_, spans = s.batchSweep(big, 4)
-	if len(spans) < 4 {
-		t.Fatalf("single-shape sweep produced %d spans, want >= 4 for the pool", len(spans))
+	if units := s.batchSweep(big, 4); len(units) < 4 {
+		t.Fatalf("single-shape sweep produced %d units, want >= 4 for the pool", len(units))
 	}
 }
 

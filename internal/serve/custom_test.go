@@ -448,3 +448,36 @@ func TestInlineSpecsDisabled(t *testing.T) {
 		t.Errorf("sweep status %d, want 400", rec.Code)
 	}
 }
+
+// TestRegisteredPlatformServedByName: a spec registered at runtime with
+// POST /v1/platforms is served by name on every evaluating endpoint.
+func TestRegisteredPlatformServedByName(t *testing.T) {
+	s := newTestServer(t, func(c *Config) {
+		c.Registry = platform.NewRegistry()
+		c.BuildEvaluatorSpec = specTestBuilder(t, nil)
+	})
+	spec := hierServeSpec()
+	data, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := postJSON(t, s, "/v1/platforms", string(data)); rec.Code != http.StatusCreated {
+		t.Fatalf("POST /v1/platforms: status %d: %s", rec.Code, rec.Body.String())
+	}
+	config := fmt.Sprintf(`"platform":%q,"grid":{"nx":100,"ny":100,"nz":50}`, spec.Name)
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/predict", `{` + config + `,"array":{"px":2,"py":2}}`},
+		{"/v1/sweep", fmt.Sprintf(`{"platform":%q,"arrays":[{"px":2,"py":2}]}`, spec.Name)},
+		{"/v1/perturb", `{` + config + `,"array":{"px":2,"py":2},` +
+			`"scenario":{"seed":1,"delays":[{"rank":1,"iteration":2,"seconds":3.0}]}}`},
+		{"/v1/resilience", `{` + config + `,"array":{"px":2,"py":2},` +
+			`"study":{"seed":1,"checkpoint":{"interval_iterations":3,"checkpoint_seconds":0.01,"restart_seconds":0.01},` +
+			`"failure":{"mtbf_seconds":2.0,"scenarios":2}}}`},
+	} {
+		t.Run(strings.TrimPrefix(tc.path, "/v1/"), func(t *testing.T) {
+			if rec := postJSON(t, s, tc.path, tc.body); rec.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+			}
+		})
+	}
+}

@@ -146,13 +146,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) (ok bool)
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return false
 	}
-	if q.PlatformSpec != nil {
-		if s.customEvals == nil {
-			writeError(w, http.StatusBadRequest, "inline platform specs are disabled on this server")
-			return false
-		}
-	} else if !s.servesPlatform(q.Platform) {
-		writeError(w, http.StatusBadRequest, "unknown platform %q (serving %v)", q.Platform, s.cfg.Platforms)
+	if err := s.checkPlatform(q.Platform, q.PlatformSpec); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return false
 	}
 	if done, ok := s.maybeProxy(w, r, []uint64{routeFingerprint(s, &q)}, &q, false); done {
@@ -261,7 +256,7 @@ type PlatformInfo struct {
 type PlatformsResponse struct {
 	Platforms []PlatformInfo `json:"platforms"`
 	// InlineSpecs reports whether this server accepts platform_spec
-	// submissions on /v1/predict and /v1/sweep.
+	// submissions on every evaluating endpoint.
 	InlineSpecs bool `json:"inline_specs"`
 }
 
@@ -316,8 +311,8 @@ type PlatformRegisterResponse struct {
 // handlePlatformRegister is POST /v1/platforms: register a platform spec
 // at runtime. The spec is validated, added to the registry (a conflicting
 // spec under an existing name is a 409), persisted to the artifact store
-// when one is attached, and immediately servable by name on /v1/predict
-// and /v1/sweep.
+// when one is attached, and immediately servable by name on every
+// evaluating endpoint (checkPlatform).
 func (s *Server) handlePlatformRegister(w http.ResponseWriter, r *http.Request) {
 	var spec platform.Spec
 	if err := decodeJSON(r, &spec); err != nil {

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
 
 	"pacesweep/internal/perturb"
 	"pacesweep/internal/platform"
@@ -94,13 +93,8 @@ func (s *Server) handlePerturb(w http.ResponseWriter, r *http.Request) (ok bool)
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return false
 	}
-	if pq.PlatformSpec != nil {
-		if s.customEvals == nil {
-			writeError(w, http.StatusBadRequest, "inline platform specs are disabled on this server")
-			return false
-		}
-	} else if _, known := s.evals[pq.Platform]; !known {
-		writeError(w, http.StatusBadRequest, "unknown platform %q (serving %v)", pq.Platform, s.cfg.Platforms)
+	if err := s.checkPlatform(pq.Platform, pq.PlatformSpec); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return false
 	}
 	// Every scenario must be well-formed before any evaluation: a typo in
@@ -155,65 +149,16 @@ func (s *Server) handlePerturb(w http.ResponseWriter, r *http.Request) (ok bool)
 		return enc.Encode(&resp) == nil
 	}
 
-	// Scenario grid: fan out on a bounded pool, stream NDJSON in index
-	// order as each report lands.
-	n := len(scenarios)
-	results := make([]PerturbPoint, n)
-	ready := make([]chan struct{}, n)
-	for i := range ready {
-		ready[i] = make(chan struct{})
-	}
-	workers := s.cfg.SweepWorkers
-	if workers > n {
-		workers = n
-	}
-	next := make(chan int)
-	ctx := r.Context()
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for wkr := 0; wkr < workers; wkr++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				pt := PerturbPoint{Index: i}
-				if err := ctx.Err(); err != nil {
-					pt.Error = "cancelled: " + err.Error()
-				} else if rep, err := run(scenarios[i]); err != nil {
-					pt.Error = err.Error()
-				} else {
-					pt.Report = rep
-				}
-				results[i] = pt
-				close(ready[i])
-			}
-		}()
-	}
-	finished := make(chan struct{})
-	go func() {
-		for i := 0; i < n; i++ {
-			next <- i
+	// Scenario grid: stream NDJSON in index order as each report lands.
+	failed := func(i int, err error) PerturbPoint { return PerturbPoint{Index: i, Error: err.Error()} }
+	g := runGrid(s, r.Context(), len(scenarios), nil, func(i int) PerturbPoint {
+		rep, err := run(scenarios[i])
+		if err != nil {
+			return failed(i, err)
 		}
-		close(next)
-		wg.Wait()
-		close(finished)
-	}()
-	defer func() { <-finished }() // never leave workers writing after return
-
-	announceRetryTrailer(w)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	for i := range results {
-		<-ready[i]
-		if err := enc.Encode(&results[i]); err != nil {
-			return false // client went away; workers drain via ctx
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	finishRetryTrailer(w, r)
-	return true
+		return PerturbPoint{Index: i, Report: rep}
+	}, failed)
+	return g.stream(w, r)
 }
 
 // platformName names the request's platform for response bodies.

@@ -10,8 +10,11 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"pacesweep/internal/pace"
 )
 
 const perturbBody = `{
@@ -293,30 +296,41 @@ func TestRequestDeadline504(t *testing.T) {
 	}
 }
 
-// TestSweepCancellationAbortsPoints drives runSweep with an already-dead
-// request context: every point must come back as a cancellation error
-// without touching the evaluator.
+// TestSweepCancellationAbortsPoints posts an aggregated sweep with an
+// already-dead request context: every point must come back as a
+// cancellation error without touching the evaluator.
 func TestSweepCancellationAbortsPoints(t *testing.T) {
-	s := newTestServer(t, nil)
+	var builds atomic.Int64
+	s := newTestServer(t, func(c *Config) {
+		build := c.BuildEvaluator
+		c.BuildEvaluator = func(name string) (*pace.Evaluator, error) {
+			builds.Add(1)
+			return build(name)
+		}
+	})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	req := httptest.NewRequest(http.MethodPost, "/v1/sweep", nil).WithContext(ctx)
-
-	var q SweepRequest
 	body := `{"platform":"alpha","arrays":[{"px":1,"py":1},{"px":2,"py":1},{"px":2,"py":2},{"px":4,"py":2}]}`
-	if err := json.Unmarshal([]byte(body), &q); err != nil {
+	req := httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(body)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	var resp SweepResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	points, err := s.expand(&q)
-	if err != nil {
-		t.Fatal(err)
+	if resp.Count != 4 || resp.Errors != 4 {
+		t.Fatalf("count %d errors %d, want 4 and 4", resp.Count, resp.Errors)
 	}
-	results, _, finished := s.runSweep(req, points, nil)
-	<-finished
-	for i, pt := range results {
+	for i, pt := range resp.Points {
 		if !strings.Contains(pt.Error, "cancelled") {
 			t.Fatalf("point %d not cancelled: %+v", i, pt)
 		}
+	}
+	if n := builds.Load(); n != 0 {
+		t.Fatalf("cancelled sweep built %d evaluators", n)
 	}
 }
 
@@ -333,47 +347,6 @@ func TestPerturbNoGoroutineLeaks(t *testing.T) {
 	}
 	// The worker pools are fully synchronous per request; allow brief
 	// scheduler lag before declaring a leak.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: before %d, after %d", before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestPerturbDisconnectedStreamNoGoroutineLeaks abandons an NDJSON
-// scenario grid mid-write — the client-disconnect counterpart of
-// TestPerturbNoGoroutineLeaks's completed path: the encode error return
-// must drain the scenario workers via context cancellation.
-func TestPerturbDisconnectedStreamNoGoroutineLeaks(t *testing.T) {
-	s := newTestServer(t, nil)
-	body := `{
-		"platform": "alpha",
-		"grid": {"nx": 100, "ny": 100, "nz": 50},
-		"array": {"px": 2, "py": 2},
-		"scenarios": [
-			{"seed": 1, "delays": [{"rank": 0, "iteration": 0, "seconds": 3.0}]},
-			{"seed": 1, "delays": [{"rank": 3, "iteration": 5, "seconds": 1.5}]},
-			{"seed": 2, "delays": [{"rank": 1, "iteration": 9, "seconds": 4.0}]},
-			{"seed": 3, "delays": [{"rank": 2, "iteration": 2, "seconds": 2.0}]}
-		]
-	}`
-	before := runtime.NumGoroutine()
-	for round := 0; round < 3; round++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		req := httptest.NewRequest(http.MethodPost, "/v1/perturb", strings.NewReader(body)).WithContext(ctx)
-		w := &disconnectingWriter{header: make(http.Header), cancel: cancel}
-		s.ServeHTTP(w, req)
-		cancel()
-		if w.writes < 2 {
-			t.Fatalf("round %d: stream never hit the disconnect (%d writes)", round, w.writes)
-		}
-	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()

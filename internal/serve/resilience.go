@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
 
 	"pacesweep/internal/platform"
 	"pacesweep/internal/resilience"
@@ -117,13 +116,8 @@ func (s *Server) handleResilience(w http.ResponseWriter, r *http.Request) (ok bo
 		pqs[i] = pq
 	}
 	pq0 := &pqs[0]
-	if pq0.PlatformSpec != nil {
-		if s.customEvals == nil {
-			writeError(w, http.StatusBadRequest, "inline platform specs are disabled on this server")
-			return false
-		}
-	} else if _, known := s.evals[pq0.Platform]; !known {
-		writeError(w, http.StatusBadRequest, "unknown platform %q (serving %v)", pq0.Platform, s.cfg.Platforms)
+	if err := s.checkPlatform(pq0.Platform, pq0.PlatformSpec); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return false
 	}
 	// Every study must be well-formed before any evaluation: a malformed
@@ -180,89 +174,24 @@ func (s *Server) handleResilience(w http.ResponseWriter, r *http.Request) (ok bo
 		return enc.Encode(&resp) == nil
 	}
 
-	// Cross product: fan out on a bounded pool, stream NDJSON in index
-	// order as each report lands (arrays outermost).
-	n := len(arrays) * len(studies)
-	results := make([]ResiliencePoint, n)
-	ready := make([]chan struct{}, n)
-	for i := range ready {
-		ready[i] = make(chan struct{})
+	// Cross product: stream NDJSON in index order as each report lands
+	// (arrays outermost).
+	point := func(i int) ResiliencePoint {
+		return ResiliencePoint{Index: i, Array: arrays[i/len(studies)], Study: i % len(studies)}
 	}
-	workers := s.cfg.SweepWorkers
-	if workers > n {
-		workers = n
+	failed := func(i int, err error) ResiliencePoint {
+		pt := point(i)
+		pt.Error = err.Error()
+		return pt
 	}
-	next := make(chan int)
-	ctx := r.Context()
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for wkr := 0; wkr < workers; wkr++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				ai, si := i/len(studies), i%len(studies)
-				pt := ResiliencePoint{Index: i, Array: arrays[ai], Study: si}
-				if err := ctx.Err(); err != nil {
-					pt.Error = "cancelled: " + err.Error()
-				} else if rep, err := run(&pqs[ai], studies[si]); err != nil {
-					pt.Error = err.Error()
-				} else {
-					pt.Report = rep
-				}
-				results[i] = pt
-				close(ready[i])
-			}
-		}()
-	}
-	finished := make(chan struct{})
-	go func() {
-		for i := 0; i < n; i++ {
-			next <- i
+	g := runGrid(s, r.Context(), len(arrays)*len(studies), nil, func(i int) ResiliencePoint {
+		rep, err := run(&pqs[i/len(studies)], studies[i%len(studies)])
+		if err != nil {
+			return failed(i, err)
 		}
-		close(next)
-		wg.Wait()
-		close(finished)
-	}()
-	defer func() { <-finished }() // never leave workers writing after return
-
-	announceRetryTrailer(w)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	for i := range results {
-		<-ready[i]
-		if err := enc.Encode(&results[i]); err != nil {
-			return false // client went away; workers drain via ctx
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	finishRetryTrailer(w, r)
-	return true
-}
-
-// NDJSON mid-stream failure contract (see cmd/paceserve/README.md): once
-// streaming has begun the status line is long gone, so a deadline or
-// cancellation mid-grid cannot turn into a 503/504. Instead the remaining
-// lines carry "cancelled: ..." errors and the response announces a
-// Retry-After trailer up front, set to "1" after the stream if any work
-// was abandoned — the streaming analogue of the 503/504 Retry-After
-// header.
-
-// announceRetryTrailer declares the Retry-After trailer before the body
-// starts (trailers must be announced ahead of the status line to be
-// emitted at all).
-func announceRetryTrailer(w http.ResponseWriter) {
-	w.Header().Set("Trailer", "Retry-After")
-}
-
-// finishRetryTrailer sets the announced trailer when the request's
-// context ended mid-stream (deadline or cancellation): remaining lines
-// were marked cancelled rather than evaluated, so the client should
-// re-issue the request.
-func finishRetryTrailer(w http.ResponseWriter, r *http.Request) {
-	if r.Context().Err() != nil {
-		w.Header().Set("Retry-After", "1")
-	}
+		pt := point(i)
+		pt.Report = rep
+		return pt
+	}, failed)
+	return g.stream(w, r)
 }

@@ -695,6 +695,22 @@ func (s *Server) servesPlatform(name string) bool {
 	return ok
 }
 
+// checkPlatform is the platform admission check every evaluating endpoint
+// shares: an inline spec needs inline specs enabled, and a name must be
+// servable here (servesPlatform). The error is a request (400) error.
+func (s *Server) checkPlatform(name string, spec *platform.Spec) error {
+	if spec != nil {
+		if s.customEvals == nil {
+			return errRequest("inline platform specs are disabled on this server")
+		}
+		return nil
+	}
+	if !s.servesPlatform(name) {
+		return errRequest("unknown platform %q (serving %v)", name, s.cfg.Platforms)
+	}
+	return nil
+}
+
 // Warm fits the named platform's evaluator now instead of on first
 // request; cmd/paceserve's -warmup calls it before accepting traffic.
 func (s *Server) Warm(name string) error {

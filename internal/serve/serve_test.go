@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -576,6 +577,43 @@ func TestMetricsEndpoint(t *testing.T) {
 	s.ServeHTTP(hrec, hreq)
 	if hrec.Code != http.StatusOK || !strings.Contains(hrec.Body.String(), "ok") {
 		t.Errorf("healthz: %d %s", hrec.Code, hrec.Body.String())
+	}
+}
+
+// TestMetricsCoverEndpointCounters checks that every numeric field of
+// EndpointSnapshot has a per-endpoint /metrics family, so the two
+// renderings of the endpoint counters cannot drift apart.
+func TestMetricsCoverEndpointCounters(t *testing.T) {
+	families := map[string]string{
+		"requests":              "paceserve_requests_total",
+		"errors":                "paceserve_request_errors_total",
+		"cache_hits":            "paceserve_cache_hits_total",
+		"not_modified":          "paceserve_not_modified_total",
+		"shed":                  "paceserve_shed_total",
+		"total_latency_seconds": "paceserve_request_seconds_sum",
+		"avg_latency_seconds":   "paceserve_request_seconds_sum", // divided by _count
+	}
+	s := newTestServer(t, nil)
+	out := getPath(t, s, "/metrics").Body.String()
+	typ := reflect.TypeOf(EndpointSnapshot{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		switch f.Type.Kind() {
+		case reflect.Uint64, reflect.Float64:
+		default:
+			continue
+		}
+		tag := strings.Split(f.Tag.Get("json"), ",")[0]
+		family, ok := families[tag]
+		if !ok {
+			t.Errorf("endpoint counter %s has no /metrics family", tag)
+			continue
+		}
+		for _, ep := range []string{"predict", "sweep", "perturb", "resilience"} {
+			if series := fmt.Sprintf("%s{endpoint=%q} ", family, ep); !strings.Contains(out, series) {
+				t.Errorf("endpoint counter %s: metrics output missing %q", tag, series)
+			}
+		}
 	}
 }
 

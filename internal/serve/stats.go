@@ -64,6 +64,10 @@ type serverStats struct {
 	sweepBatchPoints atomic.Uint64 // points routed through batching
 	sweepMaxGroup    atomic.Uint64 // largest single shape group ever seen
 
+	// workerPanics counts grid points whose evaluation panicked and was
+	// contained as a per-point error (see grid.go runGrid).
+	workerPanics atomic.Uint64
+
 	// Shard-routing telemetry (see shardroute.go).
 	shardLocal       atomic.Uint64 // routed requests this replica owned (or was forwarded)
 	shardProxied     atomic.Uint64 // requests proxied to the owning peer
@@ -232,6 +236,9 @@ type StatsResponse struct {
 	// macro-fused wavefront steps within those.
 	TraceOps      pace.TraceOpStats  `json:"trace_ops"`
 	SweepBatching SweepBatchSnapshot `json:"sweep_batching"`
+	// WorkerPanics counts grid points (sweep, perturb, resilience) whose
+	// evaluation panicked; each became that point's "internal error" line.
+	WorkerPanics uint64 `json:"worker_panics"`
 	// Artifacts is the persistent artifact store's counter block (only
 	// with -artifact-dir): hits are cache fills served from disk instead
 	// of refitting/recompiling.
@@ -264,7 +271,8 @@ func (s *Server) statsResponse() StatsResponse {
 			PointsTotal:  s.st.sweepBatchPoints.Load(),
 			MaxGroupSize: s.st.sweepMaxGroup.Load(),
 		},
-		Evaluators: make(map[string]EvaluatorSnapshot),
+		WorkerPanics: s.st.workerPanics.Load(),
+		Evaluators:   make(map[string]EvaluatorSnapshot),
 	}
 	if s.responses != nil {
 		st := s.responses.Stats()
@@ -345,6 +353,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, ep := range sortedKeys(st.Endpoints) {
 		fmt.Fprintf(w, "paceserve_request_errors_total{endpoint=%q} %d\n", ep, st.Endpoints[ep].Errors)
 	}
+	fmt.Fprintf(w, "# TYPE paceserve_cache_hits_total counter\n")
+	for _, ep := range sortedKeys(st.Endpoints) {
+		fmt.Fprintf(w, "paceserve_cache_hits_total{endpoint=%q} %d\n", ep, st.Endpoints[ep].CacheHits)
+	}
 	fmt.Fprintf(w, "# TYPE paceserve_not_modified_total counter\n")
 	for _, ep := range sortedKeys(st.Endpoints) {
 		fmt.Fprintf(w, "paceserve_not_modified_total{endpoint=%q} %d\n", ep, st.Endpoints[ep].NotModified)
@@ -389,6 +401,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE paceserve_sweep_batch_groups_total counter\npaceserve_sweep_batch_groups_total %d\n", st.SweepBatching.GroupsTotal)
 	fmt.Fprintf(w, "# TYPE paceserve_sweep_batch_points_total counter\npaceserve_sweep_batch_points_total %d\n", st.SweepBatching.PointsTotal)
 	fmt.Fprintf(w, "# TYPE paceserve_sweep_batch_max_group_size gauge\npaceserve_sweep_batch_max_group_size %d\n", st.SweepBatching.MaxGroupSize)
+	fmt.Fprintf(w, "# TYPE paceserve_worker_panics_total counter\npaceserve_worker_panics_total %d\n", st.WorkerPanics)
 	if a := st.Artifacts; a != nil {
 		fmt.Fprintf(w, "# TYPE paceserve_artifact_hits_total counter\npaceserve_artifact_hits_total %d\n", a.Hits)
 		fmt.Fprintf(w, "# TYPE paceserve_artifact_misses_total counter\npaceserve_artifact_misses_total %d\n", a.Misses)
