@@ -155,23 +155,36 @@ func (m *Model) Net() *FittedNet { return &FittedNet{m: m} }
 
 // sizeMemo caches one priced (class, size) pair of one curve. Template
 // evaluation prices millions of messages drawn from a handful of block
-// shapes, so a single-entry memo hits almost always. The curves are pure
-// functions of (class, size), so a racy replace under the goroutine
-// backend is still correct; the atomic pointer keeps the triple
-// consistent.
+// shapes, so a single-entry memo hits almost always. The entry lives in
+// place behind a sequence lock, so neither a hit nor a refill allocates
+// and concurrent pricing under the goroutine backend stays race-free: a
+// refill holds an odd sequence, and a reader that sees one, or sees the
+// sequence move while it reads, prices the curve directly. The curves
+// are pure functions of (class, size), so a skipped refill never changes
+// a value.
 type sizeMemo struct {
-	class   int
-	bytes   int
-	seconds float64
+	seq     atomic.Uint64 // even: stable; odd: refill in progress; 0: empty
+	class   atomic.Int64
+	bytes   atomic.Int64
+	seconds atomic.Uint64 // math.Float64bits
 }
 
-func priced(p *atomic.Pointer[sizeMemo], class, bytes int, eval func(int, int) float64) float64 {
-	if m := p.Load(); m != nil && m.bytes == bytes && m.class == class {
-		return m.seconds
+func (m *sizeMemo) price(class, bytes int, eval func(int, int) float64) float64 {
+	s := m.seq.Load()
+	if s != 0 && s&1 == 0 && m.class.Load() == int64(class) && m.bytes.Load() == int64(bytes) {
+		sec := m.seconds.Load()
+		if m.seq.Load() == s {
+			return math.Float64frombits(sec)
+		}
 	}
-	m := &sizeMemo{class: class, bytes: bytes, seconds: eval(class, bytes)}
-	p.Store(m)
-	return m.seconds
+	sec := eval(class, bytes)
+	if s&1 == 0 && m.seq.CompareAndSwap(s, s+1) {
+		m.class.Store(int64(class))
+		m.bytes.Store(int64(bytes))
+		m.seconds.Store(math.Float64bits(sec))
+		m.seq.Store(s + 2)
+	}
+	return sec
 }
 
 // FittedNet prices messages from the fitted Eq. 3 curves. One-way transit
@@ -179,7 +192,7 @@ func priced(p *atomic.Pointer[sizeMemo], class, bytes int, eval func(int, int) f
 // resource model.
 type FittedNet struct {
 	m                   *Model
-	send, recv, transit atomic.Pointer[sizeMemo]
+	send, recv, transit sizeMemo
 }
 
 // CostsDeterministic implements mp.DeterministicCosts: the fitted curves
@@ -208,17 +221,17 @@ func (n *FittedNet) ClassOf(src, dst int) int {
 
 // SendOverheadClass implements mp.ClassNetworkModel.
 func (n *FittedNet) SendOverheadClass(class, bytes int, _ *rand.Rand) float64 {
-	return priced(&n.send, class, bytes, func(c, b int) float64 { return n.m.level(c).Send.Seconds(b) })
+	return n.send.price(class, bytes, func(c, b int) float64 { return n.m.level(c).Send.Seconds(b) })
 }
 
 // RecvOverheadClass implements mp.ClassNetworkModel.
 func (n *FittedNet) RecvOverheadClass(class, bytes int, _ *rand.Rand) float64 {
-	return priced(&n.recv, class, bytes, func(c, b int) float64 { return n.m.level(c).Recv.Seconds(b) })
+	return n.recv.price(class, bytes, func(c, b int) float64 { return n.m.level(c).Recv.Seconds(b) })
 }
 
 // TransitClass implements mp.ClassNetworkModel.
 func (n *FittedNet) TransitClass(class, bytes int, _ *rand.Rand) float64 {
-	return priced(&n.transit, class, bytes, func(c, b int) float64 { return n.m.level(c).PingPong.Seconds(b) / 2 })
+	return n.transit.price(class, bytes, func(c, b int) float64 { return n.m.level(c).PingPong.Seconds(b) / 2 })
 }
 
 // SendOverhead implements mp.NetworkModel, pricing class 0 (the runtime

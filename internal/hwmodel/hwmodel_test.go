@@ -171,3 +171,38 @@ func TestModelFingerprint(t *testing.T) {
 		seen[fp] = name
 	}
 }
+
+// TestFittedNetPricingNoAllocs pins the in-place size memo: concurrent
+// pricing under alternating (class, size) pairs — the goroutine backend's
+// access pattern — returns exact curve values (run with -race for the
+// data-race half), and once warm neither hits, refills nor a
+// hierarchical reduce allocate.
+func TestFittedNetPricingNoAllocs(t *testing.T) {
+	m := hierModel()
+	n := m.Net()
+	done := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		go func(g int) {
+			defer func() { done <- struct{}{} }()
+			for i := 0; i < 2000; i++ {
+				cls, b := (i+g)%2, 64+(i%3)*1000
+				if got, want := n.TransitClass(cls, b, nil), m.level(cls).PingPong.Seconds(b)/2; got != want {
+					t.Errorf("transit(%d, %d) = %v, want %v", cls, b, got, want)
+					return
+				}
+			}
+		}(g)
+	}
+	for g := 0; g < 4; g++ {
+		<-done
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		i++
+		n.SendOverheadClass(i%2, 64+i%3, nil)
+		n.ReduceCost(64, 8, nil)
+	})
+	if allocs != 0 {
+		t.Fatalf("pricing allocates %v/op, want 0", allocs)
+	}
+}

@@ -516,7 +516,13 @@ type Replayer struct {
 	cycGen    int // collective generations closed so far
 	cycPrevD  float64
 	cycDelta  float64
-	cycStreak int // consecutive bitwise-equal deltas observed
+	cycStreak int // consecutive bitwise-equal in-binade deltas observed
+
+	// Constant scan (tracecycle.go): bit i of tieExps is set when a
+	// constant the fused loop adds has lowest set bit 2^(i-1074); tieScan
+	// is false when one of them is negative, NaN or infinite.
+	tieExps [tieWords]uint64
+	tieScan bool
 
 	statReplayed     int
 	statExtrapolated int
@@ -751,6 +757,7 @@ func (r *Replayer) prepare(t *Trace, opts Options, p ReplayParams) error {
 		r.cycOn = true
 		r.cycVirt = t.cyc.cycles + p.ExtraCycles
 		r.planScan()
+		r.scanConstants()
 	}
 	return nil
 }

@@ -20,27 +20,43 @@ package mp
 //     cycle records period, prefix length, cycle count and the per-class
 //     cursors of the first and last recorded cycle bodies.
 //   - Analytic extrapolation (replay time): at each cycle boundary the
-//     replayer compares the per-cycle clock delta with the previous one.
-//     Two consecutive bitwise-equal deltas whose basis endpoints share a
-//     floating-point binade validate the cycle, and the replayer then jumps
-//     clocks forward by an exact multiple of the delta instead of replaying.
-//     The jump lands on the last cycle boundary still inside the current
-//     binade: every jumped cycle ends strictly below the binade's upper
-//     edge, where iterated addition of the delta is exact (all clock values
-//     in a binade are multiples of its ulp, and a same-binade difference is
-//     one too). The next cycle crosses the edge and is replayed for real,
-//     and two more re-validate the delta on the far side, so a binade
-//     crossing costs three replayed cycles.
+//     replayer decides whether the per-cycle clock delta is certified, and
+//     then jumps clocks forward by an exact multiple of the delta instead
+//     of replaying. On the fused path every rounding op is x + c, with x a
+//     clock on the current binade's ulp grid u and c one of the replay's
+//     priced constants (positive charges, trace literals, the send/avail/
+//     recv price tables, the reduce costs). Inside one binade that sum
+//     rounds to x + round(c) unless c is an odd multiple of u/2, where
+//     round-half-even looks at the parity of x/u. Constants are never
+//     negative here, so every clock of a cycle lies between its start and
+//     end. A cycle whose start and end share a binade with no such tie
+//     constant is then a pure shift: a cycle started anywhere in that
+//     binade that also ends inside it has the same delta, and one
+//     in-binade cycle certifies the jump. In a tie binade the delta can
+//     depend on the start clock's parity, and two consecutive bitwise-equal
+//     in-binade deltas certify it (equal deltas from both parities). The
+//     tie test is a bitset of the constants' lowest-set-bit exponents,
+//     built once per replay (scanConstants); a negative, NaN or infinite
+//     constant leaves only the two-delta rule. The jump lands on the last
+//     cycle boundary still inside the current binade: every jumped cycle
+//     ends strictly below the binade's upper edge, where iterated addition
+//     of the delta is exact (all clock values in a binade are multiples of
+//     its ulp, and a same-binade difference is one too). The next cycle
+//     crosses the edge and is replayed for real, and one more certifies
+//     the delta on the far side, so a binade crossing costs two replayed
+//     cycles (three or more when the far binade has a tie constant).
 //
 // Correctness envelope: extrapolation runs only on the deterministic-cost,
 // unperturbed replay path (jitter nets, noise, injected delays, fail-stop
 // events and probes all force the full-replay paths, bit-identical to
 // before). Jumps additionally require every message stream to be empty at
 // the boundary — the transplant moves only the uniform post-collective
-// clock, never in-flight state — and the final steady cycle is always
-// replayed for real so marks written inside the cycle body carry their
-// last-execution values. Under those rules extrapolated clocks and marks
-// are bit-identical to the event backend.
+// clock, never in-flight state; every steady cycle moves each stream's
+// count by the same amount, so the certifying cycle began empty too — and
+// the final steady cycle is always replayed for real so marks written
+// inside the cycle body carry their last-execution values. Under those
+// rules extrapolated clocks and marks are bit-identical to the event
+// backend.
 //
 // ReplayParams.ExtraCycles extends the virtual horizon beyond the recorded
 // script: the replayer loops the recorded steady cycle bodies (rewinding
@@ -60,6 +76,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"reflect"
 )
 
@@ -665,6 +682,63 @@ func sameBinade(a, b float64) bool {
 	return math.Float64bits(a)&expMask == math.Float64bits(b)&expMask
 }
 
+// tieWords sizes the constant-scan bitset: one bit per exponent a finite
+// nonzero float64's lowest set bit can have, 2^-1074 through 2^1023.
+const tieWords = (2098 + 63) / 64
+
+// scanConstants records the lowest-set-bit exponent of every constant the
+// fused loop can add to a clock: trace literals, positive charges (the loop
+// skips the rest), and under a net the send, avail and receive price
+// tables plus the reduce costs planScan priced. It allocates nothing.
+func (r *Replayer) scanConstants() {
+	r.tieExps = [tieWords]uint64{}
+	r.tieScan = true
+	r.tieMark(r.t.lits, false)
+	r.tieMark(r.charges, true)
+	if r.opts.Net != nil {
+		r.tieMark(r.sendSec, false)
+		r.tieMark(r.availSec, false)
+		r.tieMark(r.recvSec, false)
+		r.tieMark(r.planRed, false)
+	}
+}
+
+// tieMark adds cs to the constant scan; with positiveOnly, entries the
+// loop skips (zero, negative, NaN) are ignored. Any other negative, NaN or
+// infinite entry turns the one-cycle rule off.
+func (r *Replayer) tieMark(cs []float64, positiveOnly bool) {
+	for _, c := range cs {
+		if c == 0 || (positiveOnly && !(c > 0)) {
+			continue
+		}
+		if !(c > 0) || math.IsInf(c, 1) {
+			r.tieScan = false
+			return
+		}
+		b := math.Float64bits(c)
+		be, m := int(b>>52), b&(1<<52-1)
+		if be == 0 {
+			be = 1 // subnormal: same scale as the smallest normal binade
+		} else {
+			m |= 1 << 52
+		}
+		i := be - 1 + bits.TrailingZeros64(m) // lowest set bit 2^(i-1074)
+		r.tieExps[i>>6] |= 1 << (i & 63)
+	}
+}
+
+// tieFree reports whether the constant scan certifies one-cycle jumps in
+// x's binade: its ulp is 2^(max(be,1)-1075), so a tie constant has lowest
+// set bit 2^(max(be,1)-1076), bit max(be,1)-2 of the scan. Subnormal and
+// lowest-normal binades have no representable half-ulp.
+func (r *Replayer) tieFree(x float64) bool {
+	if !r.tieScan {
+		return false
+	}
+	i := max(int(math.Float64bits(x)>>52&0x7FF), 1) - 2
+	return i < 0 || r.tieExps[i>>6]&(1<<(i&63)) == 0
+}
+
 // streamsIdle reports whether no replay message is in flight — the
 // precondition for any cursor transplant: a jump moves clocks and cursors,
 // never queued messages.
@@ -746,9 +820,14 @@ func (r *Replayer) cycBoundary(done float64) bool {
 	delta := done - r.cycPrevD
 	prev := r.cycPrevD
 	r.cycPrevD = done
-	if r.cycStreak > 0 && delta == r.cycDelta {
+	// Only in-binade cycles count toward the streak: a cycle that crosses
+	// an edge ran on two grids, so its delta certifies neither.
+	switch {
+	case !sameBinade(prev, done):
+		r.cycStreak = 0
+	case r.cycStreak > 0 && delta == r.cycDelta:
 		r.cycStreak++
-	} else {
+	default:
 		r.cycDelta = delta
 		r.cycStreak = 1
 	}
@@ -757,8 +836,10 @@ func (r *Replayer) cycBoundary(done float64) bool {
 		r.cycOn = false // suffix follows naturally
 		return false
 	}
-	// Analytic jump: validated delta, same-binade basis, clean streams.
-	if r.cycStreak >= 2 && remaining >= 2 && delta >= 0 {
+	// Analytic jump: a certified in-binade delta — one cycle in a binade
+	// no constant ties in, else two equal ones — and clean streams.
+	certified := r.cycStreak >= 2 || (r.cycStreak == 1 && r.tieFree(done))
+	if certified && remaining >= 2 && delta >= 0 {
 		k := remaining - 1 // the final cycle is always replayed for real
 		D := done
 		if delta > 0 {
@@ -766,13 +847,11 @@ func (r *Replayer) cycBoundary(done float64) bool {
 			// jumped cycle must end strictly below its upper edge hi.
 			// Each addition is exact (D and delta are multiples of the
 			// binade's ulp, and a sum below hi is on that grid).
+			_, e := math.Frexp(done)
+			hi := math.Ldexp(1, e)
 			j := 0
-			if sameBinade(prev, done) {
-				_, e := math.Frexp(done)
-				hi := math.Ldexp(1, e)
-				for ; j < k && D+delta < hi; j++ {
-					D += delta
-				}
+			for ; j < k && D+delta < hi; j++ {
+				D += delta
 			}
 			k = j
 		}

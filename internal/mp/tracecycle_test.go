@@ -188,12 +188,13 @@ func TestTraceExtrapolationLongHorizonFlat(t *testing.T) {
 }
 
 // TestTraceExtrapolationCrossingCost pins how many steady cycles a long
-// horizon replays for real. Two cycles validate the delta after the
-// prefix, each binade crossing replays the crossing cycle plus two that
-// re-validate the delta on the far side (the jump lands on the last
-// boundary inside the binade), and the final cycle always runs: at most
-// 3 × crossings + prefix + 2 replayed cycles. The count depends only on
-// the clocks, so the pin holds on every host.
+// horizon replays for real. No priced constant of this table ties in a
+// binade the horizon crosses (checked below), so one in-binade cycle
+// certifies the delta after the prefix, each binade crossing replays the
+// crossing cycle plus one that certifies the delta on the far side (the
+// jump lands on the last boundary inside the binade), and the final cycle
+// always runs: at most 2 × crossings + prefix + 2 replayed cycles. The
+// count depends only on the clocks, so the pin holds on every host.
 func TestTraceExtrapolationCrossingCost(t *testing.T) {
 	net := detAlphaBeta{alphaBeta{alpha: 2e-5, beta: 1e-8}}
 	tr := recordMarkedWavefront(t, net, 8)
@@ -226,14 +227,19 @@ func TestTraceExtrapolationCrossingCost(t *testing.T) {
 	_, e0 := math.Frexp(start)
 	_, e1 := math.Frexp(r.Makespan())
 	crossings := e1 - e0
+	for x := start; x < r.Makespan(); x *= 2 {
+		if !r.tieFree(x) {
+			t.Fatalf("a priced constant ties in the binade of %v", x)
+		}
+	}
 	st := r.Stats()
-	bound := 3*crossings + prefix + 2
+	bound := 2*crossings + prefix + 2
 	t.Logf("replayed %d steady cycles, %d binade crossings, prefix %d, bound %d", st.ReplayedCycles, crossings, prefix, bound)
 	if crossings < 1 {
 		t.Fatalf("horizon crosses no binade (start %v, makespan %v)", start, r.Makespan())
 	}
 	if st.ReplayedCycles > bound {
-		t.Fatalf("replayed %d steady cycles, want <= 3*%d + %d + 2 = %d (stats %+v)",
+		t.Fatalf("replayed %d steady cycles, want <= 2*%d + %d + 2 = %d (stats %+v)",
 			st.ReplayedCycles, crossings, prefix, bound, st)
 	}
 	if st.ReplayedCycles+st.ExtrapolatedCycles != iters-1 {
@@ -410,4 +416,170 @@ func TestTraceCodecCorruptCycleMetadata(t *testing.T) {
 	corrupt("class out of range", func(c *traceCycle) { c.classOf[3] = int32(len(c.first)) + 9 })
 	corrupt("negative class", func(c *traceCycle) { c.classOf[0] = -2 })
 	corrupt("cursor off boundary", func(c *traceCycle) { c.last[0].sop = 1 << 28 })
+}
+
+// tieWavefront is a 2x2 wavefront with no network costs whose clocks
+// are max-plus sums of three charges: a per-iteration head and tail and
+// the step charge of each of the four corner sweeps. With no reduction
+// cost, a run of it iterations ends on the boundary clock of cycle it.
+func tieWavefront(iters int, step float64) func(c *Comm) error {
+	const px, py = 2, 2
+	return func(c *Comm) error {
+		ix, iy := c.Rank()%px, c.Rank()/px
+		for it := 0; it < iters; it++ {
+			if it == 0 {
+				c.Mark(0)
+			}
+			c.ChargeExact(0x1p-5)
+			for _, sx := range []int{+1, -1} {
+				for _, sy := range []int{+1, -1} {
+					if up := ix - sx; up >= 0 && up < px {
+						c.RecvN(iy*px+up, 1)
+					}
+					if up := iy - sy; up >= 0 && up < py {
+						c.RecvN(up*px+ix, 2)
+					}
+					c.ChargeExact(step)
+					if down := ix + sx; down >= 0 && down < px {
+						c.SendN(iy*px+down, 1, 8, nil)
+					}
+					if down := iy + sy; down >= 0 && down < py {
+						c.SendN(down*px+ix, 2, 8, nil)
+					}
+				}
+			}
+			c.ChargeExact(0x3p-5)
+			if it == 0 {
+				c.Mark(1)
+			}
+			c.AllreduceMax(0)
+		}
+		c.AllreduceSum(1)
+		return nil
+	}
+}
+
+// runTieWavefront runs tieWavefront on the event backend.
+func runTieWavefront(t *testing.T, iters int, step float64) *World {
+	t.Helper()
+	w, err := NewWorld(4, Options{Scheduler: SchedulerEvent})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Run(tieWavefront(iters, step)); err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// TestTraceExtrapolationTieBinade drives extrapolation through a binade
+// in which a priced constant is an odd multiple of half the ulp, so a
+// cycle's delta there depends on the parity of its start clock. The step
+// charge 2^-7 + 2^-53 is such a tie in [1, 2) (ulp 2^-52) and exact or
+// tie-free everywhere else; 2^-7 alone is tie-free everywhere. The first
+// cycle in [1, 2) starts on an odd multiple of the ulp and the rest on
+// even ones, so its delta differs from theirs: one cycle must not
+// certify a jump there. Each extrapolated replay must match the
+// full-length event run bit for bit, and the tie table must replay two
+// cycles more than the tie-free one: [1, 2) pays the two-equal-deltas
+// rule (its first two deltas differ, so the third cycle certifies).
+func TestTraceExtrapolationTieBinade(t *testing.T) {
+	const base, iters = 8, 60
+	const tie = 0x1p-7 + 0x1p-53
+
+	// The tie is live: the first two in-binade deltas of [1, 2) differ.
+	var bounds []float64
+	for it := 1; len(bounds) < 3; it++ {
+		if d := runTieWavefront(t, it, tie).Clock(0); d >= 1 {
+			if d >= 2 {
+				t.Fatalf("fewer than three cycle boundaries in [1, 2): %v", bounds)
+			}
+			bounds = append(bounds, d)
+		}
+	}
+	if d1, d2 := bounds[1]-bounds[0], bounds[2]-bounds[1]; d1 == d2 {
+		t.Fatalf("first deltas in [1, 2) are equal (%v): the tie never bites", d1)
+	}
+
+	replayed := map[string]int{}
+	for name, step := range map[string]float64{"tie": tie, "tie-free": 0x1p-7} {
+		w, err := NewWorld(4, Options{Scheduler: SchedulerEvent})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := w.RunRecorded(tieWavefront(base, step))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tr.CycleDetected() || tr.CyclePeriod() != 1 {
+			t.Fatalf("%s: want a period-1 cycle: detected=%v period=%d", name, tr.CycleDetected(), tr.CyclePeriod())
+		}
+		ref := runTieWavefront(t, iters, step)
+		if ref.Clock(0) < 2 {
+			t.Fatalf("%s: horizon ends at %v, inside [1, 2)", name, ref.Clock(0))
+		}
+		r := NewReplayer()
+		if err := r.Replay(tr, Options{}, ReplayParams{ExtraCycles: iters - base}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i := 0; i < 4; i++ {
+			if math.Float64bits(r.Clock(i)) != math.Float64bits(ref.Clock(i)) {
+				t.Fatalf("%s: clock[%d] = %v, want %v", name, i, r.Clock(i), ref.Clock(i))
+			}
+		}
+		if len(r.Marks()) != 2 {
+			t.Fatalf("%s: %d marks, want 2", name, len(r.Marks()))
+		}
+		for m := range r.Marks() {
+			if math.Float64bits(r.Marks()[m]) != math.Float64bits(ref.Marks()[m]) {
+				t.Fatalf("%s: mark[%d] = %v, want %v", name, m, r.Marks()[m], ref.Marks()[m])
+			}
+		}
+		st := r.Stats()
+		if st.ReplayedCycles+st.ExtrapolatedCycles != iters-1 || st.ExtrapolatedCycles == 0 {
+			t.Fatalf("%s: stats %+v, want %d cycles with some extrapolated", name, st, iters-1)
+		}
+		t.Logf("%s: stats %+v", name, st)
+		replayed[name] = st.ReplayedCycles
+	}
+	if replayed["tie"] != replayed["tie-free"]+2 {
+		t.Fatalf("tie table replayed %d steady cycles, tie-free %d: want two more",
+			replayed["tie"], replayed["tie-free"])
+	}
+}
+
+// TestTraceExtrapolationConstantScan pins the constant scan behind the
+// one-cycle jump rule: a constant ties exactly in the binade whose half
+// ulp is its lowest set bit, charges the loop skips do not count, and a
+// negative, NaN or infinite constant the loop adds turns the rule off.
+func TestTraceExtrapolationConstantScan(t *testing.T) {
+	scan := func(lits, charges []float64) *Replayer {
+		r := NewReplayer()
+		r.t = &Trace{lits: lits}
+		r.charges = charges
+		r.scanConstants()
+		return r
+	}
+	tie := 0x1p-6 + 0x1p-53 // half ulp of [1, 2)
+	for _, c := range []struct {
+		name          string
+		lits, charges []float64
+		x             float64
+		want          bool
+	}{
+		{"tie binade", nil, []float64{tie}, 1.5, false},
+		{"binade above", nil, []float64{tie}, 3, true},
+		{"binade below", []float64{tie}, nil, 0.75, true},
+		{"skipped charges", nil, []float64{-1, math.NaN(), 0, tie}, 3, true},
+		{"infinite charge", nil, []float64{math.Inf(1)}, 3, false},
+		{"negative literal", []float64{-1e-3}, nil, 3, false},
+		{"NaN literal", []float64{math.NaN()}, nil, 3, false},
+		{"subnormal tie", []float64{0x1p-1074}, nil, 0x1p-1021, false},
+		{"lowest binades", []float64{0x1p-1074}, nil, 0x1p-1022, true},
+		{"largest constant", []float64{0x1p1023}, nil, 0x1p1023, true},
+	} {
+		if got := scan(c.lits, c.charges).tieFree(c.x); got != c.want {
+			t.Errorf("%s: tieFree(%v) = %v, want %v", c.name, c.x, got, c.want)
+		}
+	}
 }

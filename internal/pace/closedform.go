@@ -36,6 +36,11 @@ func (e *Evaluator) PredictClosedForm(cfg Config) (*Prediction, error) {
 	if err != nil {
 		return nil, err
 	}
+	blocks := blockMemo{e: e, cfg: cfg}
+	fullBlock, err := blocks.cost(cfg.MMI, minInt(cfg.MK, cfg.Grid.NZ))
+	if err != nil {
+		return nil, err
+	}
 	nab, nkb := cfg.AngleBlocks(), cfg.KBlocks()
 
 	// Total per-iteration sweep work of one processor, summed over the
@@ -45,7 +50,7 @@ func (e *Evaluator) PredictClosedForm(cfg Config) (*Prediction, error) {
 		na := blockLen(ab, cfg.MMI, cfg.Angles)
 		for kb := 0; kb < nkb; kb++ {
 			nk := blockLen(kb, cfg.MK, cfg.Grid.NZ)
-			c, err := e.blockCost(cfg, na, nk)
+			c, err := blocks.cost(na, nk)
 			if err != nil {
 				return nil, err
 			}
@@ -84,10 +89,6 @@ func (e *Evaluator) PredictClosedForm(cfg Config) (*Prediction, error) {
 	iter := srcCost + sweep + ferrCost + reduce
 	total := float64(cfg.Iterations)*iter + reduce
 
-	fullBlock, err := e.blockCost(cfg, cfg.MMI, minInt(cfg.MK, cfg.Grid.NZ))
-	if err != nil {
-		return nil, err
-	}
 	return &Prediction{
 		Total:          total,
 		SweepPerIter:   sweep,

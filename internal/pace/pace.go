@@ -188,6 +188,34 @@ func (e *Evaluator) blockCost(cfg Config, na, nk int) (float64, error) {
 	return e.cost(v), nil
 }
 
+// blockMemo prices blocks of one configuration, evaluating the flow once
+// per distinct (na, nk). blockLen yields at most two angle lengths and two
+// k lengths, and the full (mmi, min(mk, nz)) block is the first of those
+// shapes — or, when mmi exceeds the angle count, one beside a single angle
+// length — so a configuration has at most four.
+type blockMemo struct {
+	e   *Evaluator
+	cfg Config
+	n   int
+	key [4][2]int
+	sec [4]float64
+}
+
+func (m *blockMemo) cost(na, nk int) (float64, error) {
+	k := [2]int{na, nk}
+	for i := 0; i < m.n; i++ {
+		if m.key[i] == k {
+			return m.sec[i], nil
+		}
+	}
+	c, err := m.e.blockCost(m.cfg, na, nk)
+	if err == nil && m.n < len(m.key) {
+		m.key[m.n], m.sec[m.n] = k, c
+		m.n++
+	}
+	return c, err
+}
+
 // serialCosts evaluates the per-iteration serial subtasks.
 func (e *Evaluator) serialCosts(cfg Config) (source, fluxErr float64, err error) {
 	params := clc.Params{"ncells": float64(cfg.CellsPerProc())}

@@ -309,3 +309,53 @@ func TestRealisticWorkloadScaling(t *testing.T) {
 		t.Error("expected validation error")
 	}
 }
+
+// countingExpr is a loop count that records how often its flow was
+// evaluated.
+type countingExpr struct{ n *int }
+
+func (c countingExpr) Eval(clc.Params) (float64, error) { *c.n++; return 0, nil }
+func (c countingExpr) String() string                   { return "count" }
+
+// TestKernelBlockFlowEvaluations pins the block-cost memo: a kernel (and
+// the closed form) evaluates the block flow once per distinct (na, nk)
+// shape — at most four, whatever the block counts — and every block
+// still carries the cost an unmemoised evaluation gives it.
+func TestKernelBlockFlowEvaluations(t *testing.T) {
+	ev := testEvaluator(t)
+	var n int
+	counted := *ev
+	counted.WorkFlow = clc.Seq(clc.Loop(countingExpr{&n}), ev.WorkFlow)
+	for _, c := range []struct{ mk, mmi, angles int }{
+		{10, 3, 6}, {7, 4, 6}, {1, 1, 6}, {50, 8, 6}, {3, 5, 12},
+	} {
+		cfg := paperConfig(3, 2)
+		cfg.MK, cfg.MMI, cfg.Angles = c.mk, c.mmi, c.angles
+		n = 0
+		k, err := counted.buildKernel(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 || n > 4 {
+			t.Errorf("%+v: kernel evaluated the block flow %d times, want 1..4", c, n)
+		}
+		for ab := 0; ab < k.nab; ab++ {
+			for kb := 0; kb < k.nkb; kb++ {
+				want, err := counted.blockCost(cfg, blockLen(ab, cfg.MMI, cfg.Angles), blockLen(kb, cfg.MK, cfg.Grid.NZ))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := k.charges[ab*k.nkb+kb]; got != want {
+					t.Fatalf("%+v: block (%d, %d) costs %v, want %v", c, ab, kb, got, want)
+				}
+			}
+		}
+		n = 0
+		if _, err := counted.PredictClosedForm(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 || n > 4 {
+			t.Errorf("%+v: closed form evaluated the block flow %d times, want 1..4", c, n)
+		}
+	}
+}

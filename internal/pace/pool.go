@@ -379,13 +379,14 @@ func (e *Evaluator) kernelFor(cfg Config) (*costKernel, error) {
 }
 
 // buildKernel evaluates the subtask flows for every block shape of the
-// configuration, including ragged tails.
+// configuration, including ragged tails, once per distinct shape.
 func (e *Evaluator) buildKernel(cfg Config) (*costKernel, error) {
 	src, ferr, err := e.serialCosts(cfg)
 	if err != nil {
 		return nil, err
 	}
-	fullBlock, err := e.blockCost(cfg, cfg.MMI, minInt(cfg.MK, cfg.Grid.NZ))
+	blocks := blockMemo{e: e, cfg: cfg}
+	fullBlock, err := blocks.cost(cfg.MMI, minInt(cfg.MK, cfg.Grid.NZ))
 	if err != nil {
 		return nil, err
 	}
@@ -401,7 +402,7 @@ func (e *Evaluator) buildKernel(cfg Config) (*costKernel, error) {
 		na := blockLen(ab, cfg.MMI, cfg.Angles)
 		for kb := 0; kb < nkb; kb++ {
 			nk := blockLen(kb, cfg.MK, cfg.Grid.NZ)
-			c, err := e.blockCost(cfg, na, nk)
+			c, err := blocks.cost(na, nk)
 			if err != nil {
 				return nil, err
 			}

@@ -59,7 +59,9 @@ func TestTraceStreamTableSweepShapes(t *testing.T) {
 // prediction bookkeeping in the timed loop. Points alternate two platforms
 // (flat and two-level) over five per-rank cell sizes, ten distinct cost
 // tables in all, more than the replayer's steady-state plan memo holds, so
-// every replay runs its cycles as a fresh sweep cell would.
+// every replay runs its cycles as a fresh sweep cell would. The
+// iters=1000 sub-benchmark replays the same 12-iteration trace with 988
+// extra steady cycles, the long-horizon extrapolation a sweep point pays.
 func BenchmarkReplayWavefront(b *testing.B) {
 	const px, py = 32, 32
 	evs := []*Evaluator{testEvaluator(b), hierEvaluator(b, hierTestModel())}
@@ -84,30 +86,40 @@ func BenchmarkReplayWavefront(b *testing.B) {
 			pts = append(pts, point{mp.Options{Net: ev.HW.Net()}, mp.ReplayParams{Charges: k.charges, Sizes: k.sizes}})
 		}
 	}
-	b.Run("P="+strconv.Itoa(px*py), func(b *testing.B) {
-		rp := mp.NewReplayer()
-		// Two warm passes: the second must replay exactly as many cycles
-		// as the first, or a plan memo hit is shortening the loop.
-		var first []mp.ReplayStats
-		for pass := 0; pass < 2; pass++ {
-			for i, p := range pts {
+	for _, iters := range []int{steadyCanonIters, 1000} {
+		name := "P=" + strconv.Itoa(px*py)
+		if iters != steadyCanonIters {
+			name += "/iters=" + strconv.Itoa(iters)
+		}
+		for i := range pts {
+			pts[i].params.ExtraCycles = iters - steadyCanonIters
+		}
+		b.Run(name, func(b *testing.B) {
+			rp := mp.NewReplayer()
+			// Two warm passes: the second must replay exactly as many
+			// cycles as the first, or a plan memo hit is shortening the
+			// loop.
+			var first []mp.ReplayStats
+			for pass := 0; pass < 2; pass++ {
+				for i, p := range pts {
+					if err := rp.Replay(tr, p.opts, p.params); err != nil {
+						b.Fatal(err)
+					}
+					if pass == 0 {
+						first = append(first, rp.Stats())
+					} else if rp.Stats() != first[i] {
+						b.Fatalf("point %d: replay stats %+v then %+v: the plan memo hit", i, first[i], rp.Stats())
+					}
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := &pts[i%len(pts)]
 				if err := rp.Replay(tr, p.opts, p.params); err != nil {
 					b.Fatal(err)
 				}
-				if pass == 0 {
-					first = append(first, rp.Stats())
-				} else if rp.Stats() != first[i] {
-					b.Fatalf("point %d: replay stats %+v then %+v: the plan memo hit", i, first[i], rp.Stats())
-				}
 			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p := &pts[i%len(pts)]
-			if err := rp.Replay(tr, p.opts, p.params); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }

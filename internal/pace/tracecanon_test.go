@@ -2,6 +2,8 @@ package pace
 
 import (
 	"encoding/binary"
+	"fmt"
+	"math"
 	"testing"
 
 	"pacesweep/internal/artifact"
@@ -177,5 +179,67 @@ func TestArtifactCorruptCycleMetadataQuarantines(t *testing.T) {
 	}
 	if st := s.Stats(); st.Quarantined != 1 {
 		t.Fatalf("Quarantined = %d, want 1", st.Quarantined)
+	}
+}
+
+// TestTraceExtrapolationDifferential is the pace-level differential net
+// for the replay-time jump rule: across arrays, mk/mmi blockings, cell
+// sizes and both test platforms (flat and two-level), the canonical
+// 12-iteration trace replayed with ExtraCycles must equal the full-length
+// trace replayed twice — on the fused loop, and on the instrumented loop
+// (a probe forces it), which never extrapolates — bit for bit on every
+// rank clock and every mark.
+func TestTraceExtrapolationDifferential(t *testing.T) {
+	evs := map[string]*Evaluator{"flat": testEvaluator(t), "hier": hierEvaluator(t, hierTestModel())}
+	shapes := []struct{ px, py, mk, mmi, cells int }{
+		{2, 2, 10, 3, 50}, {3, 3, 5, 1, 20}, {4, 2, 25, 6, 5}, {5, 3, 5, 2, 35},
+		{2, 4, 50, 3, 10}, {6, 4, 10, 3, 15}, {1, 4, 5, 2, 25},
+	}
+	bits := func(x float64) uint64 { return math.Float64bits(x) }
+	for _, sh := range shapes {
+		cfg := replayShape(sh.px, sh.py, sh.cells)
+		cfg.MK, cfg.MMI = sh.mk, sh.mmi
+		_, canon := compileShape(t, evs["flat"], cfg)
+		for _, iters := range []int{40, 150} {
+			full := cfg
+			full.Iterations = iters
+			_, long := compileShape(t, evs["flat"], full)
+			for name, ev := range evs {
+				k, err := ev.kernelFor(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				params := mp.ReplayParams{Charges: k.charges, Sizes: k.sizes}
+				net := ev.HW.Net()
+				ext, fused, inst := mp.NewReplayer(), mp.NewReplayer(), mp.NewReplayer()
+				extParams := params
+				extParams.ExtraCycles = iters - steadyCanonIters
+				if err := ext.Replay(canon, mp.Options{Net: net}, extParams); err != nil {
+					t.Fatal(err)
+				}
+				if err := fused.Replay(long, mp.Options{Net: net}, params); err != nil {
+					t.Fatal(err)
+				}
+				if err := inst.Replay(long, mp.Options{Net: net, Probe: &mp.RunProbe{}}, params); err != nil {
+					t.Fatal(err)
+				}
+				where := fmt.Sprintf("%s %+v it=%d", name, sh, iters)
+				if ext.Stats().ExtrapolatedCycles == 0 {
+					t.Fatalf("%s: nothing extrapolated (stats %+v)", where, ext.Stats())
+				}
+				for i := 0; i < canon.Ranks(); i++ {
+					if bits(ext.Clock(i)) != bits(inst.Clock(i)) || bits(fused.Clock(i)) != bits(inst.Clock(i)) {
+						t.Fatalf("%s: clock[%d] extrapolated %v, fused %v, full %v",
+							where, i, ext.Clock(i), fused.Clock(i), inst.Clock(i))
+					}
+				}
+				for m := range inst.Marks() {
+					if bits(ext.Marks()[m]) != bits(inst.Marks()[m]) || bits(fused.Marks()[m]) != bits(inst.Marks()[m]) {
+						t.Fatalf("%s: mark[%d] extrapolated %v, fused %v, full %v",
+							where, m, ext.Marks()[m], fused.Marks()[m], inst.Marks()[m])
+					}
+				}
+			}
+		}
 	}
 }

@@ -178,10 +178,12 @@ func (t Topology) Classes() int {
 // most CoresPerNode participants), node roots within their cluster, and
 // cluster roots across the WAN. Level l contributes hops[l] one-way
 // small-message hops priced by that level's curves. A flat topology (one
-// level) degenerates to the plain ceil(log2 p) tree.
-func (t Topology) ReduceHops(p, levels int) []int {
+// level) degenerates to the plain ceil(log2 p) tree. Levels past the
+// given depth hold zero hops; the fixed-size result keeps pricing a
+// reduction allocation-free.
+func (t Topology) ReduceHops(p, levels int) [MaxLevels]int {
 	t = t.normalized()
-	hops := make([]int, levels)
+	var hops [MaxLevels]int
 	if p <= 1 || levels == 0 {
 		return hops
 	}
